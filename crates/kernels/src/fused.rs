@@ -2,10 +2,8 @@
 //! logit tensor are computed, softmaxed, and consumed without ever
 //! materializing the full `[N, N]` matrix.
 
-use crate::halfmat::{half_attend_into, half_logits_into, HalfMat};
-use crate::mat::{wide_attend_acc, wide_logits_into};
-use crate::softmax_family::{softmax_row_kind, FlashDSoftmax, LogLutSoftmax};
-use crate::{softmax_row, ComputePrecision, Mask, Mat, MultiHeadInput};
+use crate::walk::{walk, walk_kind, F32Scores, HalfScores, TwoPass};
+use crate::{ComputePrecision, Mask, Mat, MultiHeadInput};
 use flat_tensor::SoftmaxKind;
 
 /// Key-dimension chunk of the packed FLASH-D/LogLut walk: one `R × C`
@@ -48,9 +46,8 @@ const KV_CHUNK: usize = 512;
 #[must_use]
 pub fn flat_attention(input: &MultiHeadInput, rows_per_tile: usize, mask: Mask) -> Vec<Mat> {
     assert!(rows_per_tile > 0, "row tile must be positive");
-    (0..input.groups())
-        .map(|g| flat_attention_group(input, g, rows_per_tile, mask))
-        .collect()
+    let scores = |g| F32Scores::new(input, g);
+    walk::<_, TwoPass>(input, rows_per_tile, input.seq_kv, mask, scores, &mut ())
 }
 
 /// FLAT fused attention with an explicit precision and softmax-kind
@@ -58,14 +55,17 @@ pub fn flat_attention(input: &MultiHeadInput, rows_per_tile: usize, mask: Mask) 
 ///
 /// * [`ComputePrecision::F32`] + [`SoftmaxKind::Exact`] is bit-identical
 ///   to [`flat_attention`].
-/// * `Bf16`/`F16` pack Q/K/V at 16 bits ([`HalfMat`]) and run the widening
-///   microkernels: QK^T and PV stream packed panels at half the bytes.
+/// * `Bf16`/`F16` pack Q/K/V at 16 bits ([`HalfMat`](crate::HalfMat));
+///   each packed K/V chunk is widened once per group and then runs the
+///   f32 microkernels.
 /// * [`ComputePrecision::Int8`] routes to the quantized path with an int8
 ///   score matrix
 ///   ([`quantized_flat_attention_with`](crate::quantized_flat_attention_with)).
-/// * [`SoftmaxKind::FlashD`]/[`SoftmaxKind::LogLut`] run the key dimension
-///   in chunks with the division-free recurrence: the output rows stay
+/// * [`SoftmaxKind::FlashD`]/[`SoftmaxKind::LogLut`] replace the two-pass
+///   softmax with the division-free recurrence: the output rows stay
 ///   normalized at every step and no per-row normalize pass ever runs.
+///   Over packed storage they fold the key dimension in chunks of 512
+///   keys; over f32 and int8 each row is folded whole.
 ///
 /// # Panics
 ///
@@ -94,212 +94,29 @@ pub fn flat_attention_with(
     kind: SoftmaxKind,
 ) -> Vec<Mat> {
     assert!(rows_per_tile > 0, "row tile must be positive");
+    let whole_row = input.seq_kv;
     match precision {
-        ComputePrecision::F32 => (0..input.groups())
-            .map(|g| flat_attention_group_kind(input, g, rows_per_tile, mask, kind))
-            .collect(),
-        ComputePrecision::Bf16 | ComputePrecision::F16 => (0..input.groups())
-            .map(|g| flat_attention_group_half(input, g, rows_per_tile, mask, precision, kind))
-            .collect(),
+        ComputePrecision::F32 => {
+            walk_kind::<_, TwoPass>(kind, input, rows_per_tile, whole_row, mask, |g| {
+                F32Scores::new(input, g)
+            })
+        }
+        ComputePrecision::Bf16 | ComputePrecision::F16 => {
+            // The division-free kinds fold the row in chunks, so a packed
+            // K/V chunk and its logit slice stay cache-resident.
+            let chunk = if kind == SoftmaxKind::Exact {
+                whole_row
+            } else {
+                KV_CHUNK
+            };
+            walk_kind::<_, TwoPass>(kind, input, rows_per_tile, chunk, mask, |g| {
+                HalfScores::new(input, g, precision, chunk)
+            })
+        }
         ComputePrecision::Int8 => {
             crate::quantized::quantized_flat_attention_with(input, rows_per_tile, mask, kind)
         }
     }
-}
-
-/// The f32 group walk with a selectable softmax kind (Exact delegates to
-/// the bit-exact legacy path).
-fn flat_attention_group_kind(
-    input: &MultiHeadInput,
-    g: usize,
-    rows_per_tile: usize,
-    mask: Mask,
-    kind: SoftmaxKind,
-) -> Mat {
-    if kind == SoftmaxKind::Exact {
-        return flat_attention_group(input, g, rows_per_tile, mask);
-    }
-    let scale = input.scale();
-    let q = &input.q[g];
-    let k = &input.k[g];
-    let v = &input.v[g];
-    let mut out = Mat::zeros(input.seq_q, input.dk);
-    let mut row_lo = 0;
-    while row_lo < input.seq_q {
-        let row_hi = (row_lo + rows_per_tile).min(input.seq_q);
-        let mut tile = q.matmul_transposed_rows(row_lo, row_hi, k);
-        mask_and_scale(
-            &mut tile,
-            row_hi - row_lo,
-            row_lo,
-            0,
-            input.seq_kv,
-            mask,
-            scale,
-        );
-        // Family softmax: the row comes back *normalized* in one absorb —
-        // no divide pass follows.
-        for i in 0..tile.rows() {
-            softmax_row_kind(tile.row_mut(i), kind);
-        }
-        tile.matmul_into(v, &mut out, row_lo);
-        row_lo = row_hi;
-    }
-    out
-}
-
-/// The packed 16-bit group walk: widening-load QK^T and PV, with either
-/// the exact full-row softmax or the chunked division-free recurrences.
-///
-/// The division-free kinds walk the key dimension *outermost*: each packed
-/// K/V chunk is widened to f32 scratch exactly once, then every query-row
-/// tile folds it through the wide microkernels. The per-row recurrence
-/// state ([`FlashDSoftmax`]/[`LogLutSoftmax`]) persists across chunks, so
-/// the loop order is free — and the packed rows never get re-decoded per
-/// tile.
-fn flat_attention_group_half(
-    input: &MultiHeadInput,
-    g: usize,
-    rows_per_tile: usize,
-    mask: Mask,
-    precision: ComputePrecision,
-    kind: SoftmaxKind,
-) -> Mat {
-    let dtype = precision.dtype();
-    let scale = input.scale();
-    let k = HalfMat::from_mat(&input.k[g], dtype);
-    let v = HalfMat::from_mat(&input.v[g], dtype);
-    // Q rounds through the same storage; decoded once, the panel then
-    // reads f32 rows while K/V stream packed.
-    let q = HalfMat::from_mat(&input.q[g], dtype).to_mat();
-    let (seq_q, seq_kv) = (input.seq_q, input.seq_kv);
-    let mut out = Mat::zeros(seq_q, input.dk);
-    if kind == SoftmaxKind::Exact {
-        // Row granularity: each tile holds complete rows, softmax is the
-        // two-pass reference, and K/V stream packed through the widening
-        // kernels.
-        let mut row_lo = 0;
-        while row_lo < seq_q {
-            let row_hi = (row_lo + rows_per_tile).min(seq_q);
-            let nrows = row_hi - row_lo;
-            let q_rows: Vec<&[f32]> = (row_lo..row_hi).map(|i| q.row(i)).collect();
-            let mut tile = Mat::zeros(nrows, seq_kv);
-            half_logits_into(&q_rows, &k, 0, seq_kv, &mut tile);
-            mask_and_scale(&mut tile, nrows, row_lo, 0, seq_kv, mask, scale);
-            for i in 0..nrows {
-                softmax_row(tile.row_mut(i));
-            }
-            half_attend_into(&tile, seq_kv, &v, 0, &mut out, row_lo);
-            row_lo = row_hi;
-        }
-        return out;
-    }
-    // Division-free kinds, chunk-outer. Scratch: one widened K chunk, one
-    // widened V chunk, one logit tile — all sized for the chunk, all
-    // cache-resident across the inner row walk.
-    let mut flash: Vec<FlashDSoftmax> = vec![FlashDSoftmax::new(); seq_q];
-    let mut loglut: Vec<LogLutSoftmax> = vec![LogLutSoftmax::new(); seq_q];
-    let chunk = KV_CHUNK.min(seq_kv);
-    let mut k_chunk = Mat::zeros(chunk, input.dk);
-    let mut v_chunk = Mat::zeros(chunk, input.dk);
-    let mut tile = Mat::zeros(rows_per_tile.min(seq_q), chunk);
-    let mut col_lo = 0;
-    while col_lo < seq_kv {
-        let col_hi = (col_lo + KV_CHUNK).min(seq_kv);
-        let width = col_hi - col_lo;
-        for j in 0..width {
-            k.decode_row_into(col_lo + j, k_chunk.row_mut(j));
-            v.decode_row_into(col_lo + j, v_chunk.row_mut(j));
-        }
-        let mut row_lo = 0;
-        while row_lo < seq_q {
-            let row_hi = (row_lo + rows_per_tile).min(seq_q);
-            let nrows = row_hi - row_lo;
-            wide_logits_into(&q, row_lo, row_hi, &k_chunk, width, &mut tile);
-            mask_and_scale(&mut tile, nrows, row_lo, col_lo, width, mask, scale);
-            for r in 0..nrows {
-                let row = &mut tile.row_mut(r)[..width];
-                let carry = match kind {
-                    SoftmaxKind::FlashD => flash[row_lo + r].absorb(row),
-                    _ => loglut[row_lo + r].absorb(row),
-                };
-                if carry != 1.0 {
-                    for a in out.row_mut(row_lo + r) {
-                        *a *= carry;
-                    }
-                }
-            }
-            wide_attend_acc(&tile, nrows, width, &v_chunk, &mut out, row_lo);
-            row_lo = row_hi;
-        }
-        col_lo = col_hi;
-    }
-    out
-}
-
-/// Masks and scales the first `nrows` rows of a logit tile in place:
-/// `tile[r][j]` covers query row `row_lo + r` and key column `col_lo + j`,
-/// for `j < width`. Rows past `nrows` are scratch and left alone.
-fn mask_and_scale(
-    tile: &mut Mat,
-    nrows: usize,
-    row_lo: usize,
-    col_lo: usize,
-    width: usize,
-    mask: Mask,
-    scale: f32,
-) {
-    for i in 0..nrows {
-        let qi = row_lo + i;
-        for (j, x) in tile.row_mut(i)[..width].iter_mut().enumerate() {
-            *x = if mask.allows(qi, col_lo + j) {
-                *x * scale
-            } else {
-                f32::NEG_INFINITY
-            };
-        }
-    }
-}
-
-/// The fused execution for one (batch, head) group — the unit the parallel
-/// kernel distributes across threads.
-pub(crate) fn flat_attention_group(
-    input: &MultiHeadInput,
-    g: usize,
-    rows_per_tile: usize,
-    mask: Mask,
-) -> Mat {
-    let scale = input.scale();
-    let q = &input.q[g];
-    let k = &input.k[g];
-    let v = &input.v[g];
-    let mut out = Mat::zeros(input.seq_q, input.dk);
-    let mut row_lo = 0;
-    while row_lo < input.seq_q {
-        let row_hi = (row_lo + rows_per_tile).min(input.seq_q);
-        // Stage L: one FLAT-tile of logits, complete rows only, computed
-        // straight from Q's rows (no row_slice copy).
-        let mut tile = q.matmul_transposed_rows(row_lo, row_hi, k);
-        for i in 0..tile.rows() {
-            let qi = row_lo + i;
-            for (j, x) in tile.row_mut(i).iter_mut().enumerate() {
-                *x = if mask.allows(qi, j) {
-                    *x * scale
-                } else {
-                    f32::NEG_INFINITY
-                };
-            }
-        }
-        // SFU: softmax inside the on-chip slice.
-        for i in 0..tile.rows() {
-            softmax_row(tile.row_mut(i));
-        }
-        // Stage A: consume the slice immediately, writing the output rows
-        // this tile owns in place.
-        tile.matmul_into(v, &mut out, row_lo);
-        row_lo = row_hi;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -399,13 +216,17 @@ mod tests {
 
     #[test]
     fn half_paths_handle_causal_masks_and_ragged_tiles() {
-        let input = MultiHeadInput::random(1, 1, 17, 17, 4, 43);
-        let exact = naive_attention(&input, Mask::Causal);
-        for p in [ComputePrecision::Bf16, ComputePrecision::F16] {
-            for kind in [SoftmaxKind::Exact, SoftmaxKind::FlashD, SoftmaxKind::LogLut] {
-                let out = flat_attention_with(&input, 5, Mask::Causal, p, kind);
-                let d = out[0].max_abs_diff(&exact[0]);
-                assert!(d < 2e-2, "{p}/{kind}: diff {d}");
+        // The second input spans three key chunks: under the causal mask
+        // the early rows meet chunks that are wholly masked.
+        for (seq, rows) in [(17, 5), (2 * KV_CHUNK + 76, 64)] {
+            let input = MultiHeadInput::random(1, 1, seq, seq, 4, 43);
+            let exact = naive_attention(&input, Mask::Causal);
+            for p in [ComputePrecision::Bf16, ComputePrecision::F16] {
+                for kind in [SoftmaxKind::Exact, SoftmaxKind::FlashD, SoftmaxKind::LogLut] {
+                    let out = flat_attention_with(&input, rows, Mask::Causal, p, kind);
+                    let d = out[0].max_abs_diff(&exact[0]);
+                    assert!(d < 2e-2, "seq {seq} {p}/{kind}: diff {d}");
+                }
             }
         }
     }

@@ -1,16 +1,10 @@
-//! Packed 16-bit matrices with widening-load microkernels.
+//! Packed 16-bit matrices.
 //!
 //! [`HalfMat`] stores elements as raw `u16` words (f16 or bf16), half the
-//! bytes of [`Mat`]. The compute kernels stream the packed words and widen
-//! to f32 in registers — each cache line feeds twice the elements of the
-//! f32 layout, which is the bandwidth half of the mixed-precision win; the
-//! decode is a shift (bf16) or a short bit-fixup (f16) that the compiler
-//! vectorizes alongside the FMA stream.
-//!
-//! The kernels are shaped so every packed row is decoded **once** per use
-//! site: QK^T decodes each K row into an on-stack scratch and runs it
-//! against the whole query row panel; PV decodes each V row once and
-//! scatters it into all accumulator rows.
+//! bytes of [`Mat`]. Widening a row back to f32 is a shift (bf16) or a
+//! short bit-fixup (f16) that the compiler vectorizes. The attention walk
+//! widens each packed K/V chunk **once** per (batch, head) group into f32
+//! scratch, which every query-row tile then reuses.
 
 use crate::Mat;
 use flat_tensor::half::{bf16_bits_to_f32, f16_bits_to_f32, f32_to_bf16_bits, f32_to_f16_bits};
@@ -119,121 +113,9 @@ impl HalfMat {
     }
 }
 
-/// `q_rows · kᵀ` for a panel of f32 query rows against packed keys
-/// `k[k_lo..k_hi]`, written to `tile` columns `0..(k_hi − k_lo)`.
-///
-/// Loop order is key-row outer: each packed K row is widened into a stack
-/// scratch exactly once and then dotted against every query row of the
-/// panel, so the decode cost is amortized over the whole panel while the
-/// packed row occupies half the cache-line budget of an f32 row.
-///
-/// # Panics
-///
-/// Panics on dimension mismatches.
-pub(crate) fn half_logits_into(
-    q_rows: &[&[f32]],
-    k: &HalfMat,
-    k_lo: usize,
-    k_hi: usize,
-    tile: &mut Mat,
-) {
-    assert!(k_lo < k_hi && k_hi <= k.rows(), "bad key range");
-    assert!(tile.rows() >= q_rows.len(), "tile too short");
-    assert!(tile.cols() >= k_hi - k_lo, "tile too narrow");
-    let mut scratch = vec![0.0f32; k.cols()];
-    for j in k_lo..k_hi {
-        k.decode_row_into(j, &mut scratch);
-        let jc = j - k_lo;
-        for (r, q) in q_rows.iter().enumerate() {
-            tile.set(r, jc, crate::mat::dot(q, &scratch));
-        }
-    }
-}
-
-/// `out_rows[r] += Σ_j weights[r][j] · v[v_lo + j]` with packed values:
-/// the Attend stage under widening loads. Each packed V row is widened
-/// once and folded into every accumulator row with its per-row weight.
-///
-/// # Panics
-///
-/// Panics on dimension mismatches.
-pub(crate) fn half_attend_into(
-    weights: &Mat,
-    cols: usize,
-    v: &HalfMat,
-    v_lo: usize,
-    out: &mut Mat,
-    out_lo: usize,
-) {
-    assert!(v_lo + cols <= v.rows(), "value range out of bounds");
-    assert_eq!(out.cols(), v.cols(), "output width must match values");
-    let mut scratch = vec![0.0f32; v.cols()];
-    for j in 0..cols {
-        v.decode_row_into(v_lo + j, &mut scratch);
-        for r in 0..weights.rows() {
-            let w = weights.at(r, j);
-            if w != 0.0 {
-                let acc = out.row_mut(out_lo + r);
-                for (a, &vv) in acc.iter_mut().zip(&scratch) {
-                    *a = w.mul_add(vv, *a);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn packed_logits_match_rounded_f32_reference() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let q = Mat::random(5, 16, &mut rng);
-        let k = Mat::random(9, 16, &mut rng);
-        for dt in [DataType::Bf16, DataType::Fp16] {
-            let kh = HalfMat::from_mat(&k, dt);
-            // Reference: f32 GEMM over the decoded (storage-rounded) values.
-            let reference = q.matmul_transposed(&kh.to_mat());
-            let mut tile = Mat::zeros(5, 9);
-            let q_rows: Vec<&[f32]> = (0..5).map(|i| q.row(i)).collect();
-            half_logits_into(&q_rows, &kh, 0, 9, &mut tile);
-            assert_eq!(tile.max_abs_diff(&reference), 0.0, "{dt}");
-        }
-    }
-
-    #[test]
-    fn packed_attend_matches_rounded_f32_reference() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let w = Mat::random(4, 6, &mut rng);
-        let v = Mat::random(6, 8, &mut rng);
-        for dt in [DataType::Bf16, DataType::Fp16] {
-            let vh = HalfMat::from_mat(&v, dt);
-            let reference = w.matmul(&vh.to_mat());
-            let mut out = Mat::zeros(4, 8);
-            half_attend_into(&w, 6, &vh, 0, &mut out, 0);
-            assert!(out.max_abs_diff(&reference) < 1e-6, "{dt}");
-        }
-    }
-
-    #[test]
-    fn sub_ranges_address_the_right_rows() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let q = Mat::random(2, 8, &mut rng);
-        let k = Mat::random(10, 8, &mut rng);
-        let kh = HalfMat::from_mat(&k, DataType::Bf16);
-        let mut tile = Mat::zeros(2, 4);
-        let q_rows: Vec<&[f32]> = (0..2).map(|i| q.row(i)).collect();
-        half_logits_into(&q_rows, &kh, 3, 7, &mut tile);
-        let full = q.matmul_transposed(&kh.to_mat());
-        for r in 0..2 {
-            for j in 0..4 {
-                assert_eq!(tile.at(r, j), full.at(r, 3 + j));
-            }
-        }
-    }
 
     #[test]
     #[should_panic(expected = "16-bit")]

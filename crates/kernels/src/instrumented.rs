@@ -3,7 +3,8 @@
 //! touch — so the cost model's traffic accounting can be validated against
 //! what a real execution actually does.
 
-use crate::{softmax_row, Mask, Mat, MultiHeadInput};
+use crate::walk::{walk, F32Scores, Observer, TwoPass};
+use crate::{Mask, Mat, MultiHeadInput};
 use flat_telemetry::{Event, TraceSink};
 
 /// Memory-touch counters for one execution, in elements.
@@ -59,6 +60,27 @@ impl ExecutionStats {
     }
 }
 
+/// Counts for the row-granularity walk, where each tile holds whole rows.
+impl Observer for ExecutionStats {
+    fn group(&mut self, seq_kv: usize, dk: usize) {
+        // K and V are staged once per group (the K/V FLAT-tiles).
+        self.k_reads += (seq_kv * dk) as u64;
+        self.v_reads += (seq_kv * dk) as u64;
+    }
+
+    fn tile(&mut self, rows: usize, width: usize, dk: usize) {
+        let live = (rows * width) as u64;
+        self.iterations += 1;
+        self.q_reads += (rows * dk) as u64;
+        self.peak_live_logits = self.peak_live_logits.max(live);
+        // Stage L writes the slice, the SFU reads and rewrites it, and
+        // Stage A reads it once more.
+        self.logit_writes += 2 * live;
+        self.logit_reads += 2 * live;
+        self.o_writes += (rows * dk) as u64;
+    }
+}
+
 /// [`flat_attention`](crate::flat_attention) with touch counting. Returns
 /// the identical output plus the [`ExecutionStats`].
 ///
@@ -76,57 +98,9 @@ pub fn instrumented_flat_attention(
     mask: Mask,
 ) -> (Vec<Mat>, ExecutionStats) {
     assert!(rows_per_tile > 0, "row tile must be positive");
-    let scale = input.scale();
     let mut stats = ExecutionStats::default();
-    let outs = (0..input.groups())
-        .map(|g| {
-            let q = &input.q[g];
-            // Stage K and V once per group (the K/V FLAT-tiles).
-            let k = &input.k[g];
-            let v = &input.v[g];
-            stats.k_reads += (input.seq_kv * input.dk) as u64;
-            stats.v_reads += (input.seq_kv * input.dk) as u64;
-
-            let mut out = Mat::zeros(input.seq_q, input.dk);
-            let mut row_lo = 0;
-            while row_lo < input.seq_q {
-                let row_hi = (row_lo + rows_per_tile).min(input.seq_q);
-                stats.iterations += 1;
-                let rows = row_hi - row_lo;
-                stats.q_reads += (rows * input.dk) as u64;
-
-                // Same no-copy tile primitive as the uninstrumented path:
-                // the outputs must stay bit-identical.
-                let mut tile = q.matmul_transposed_rows(row_lo, row_hi, k);
-                let live = (rows * input.seq_kv) as u64;
-                stats.logit_writes += live;
-                stats.peak_live_logits = stats.peak_live_logits.max(live);
-
-                for i in 0..tile.rows() {
-                    let qi = row_lo + i;
-                    for (j, x) in tile.row_mut(i).iter_mut().enumerate() {
-                        *x = if mask.allows(qi, j) {
-                            *x * scale
-                        } else {
-                            f32::NEG_INFINITY
-                        };
-                    }
-                }
-                // SFU pass reads and rewrites the slice in place.
-                stats.logit_reads += live;
-                stats.logit_writes += live;
-                for i in 0..tile.rows() {
-                    softmax_row(tile.row_mut(i));
-                }
-                // Stage A reads the slice once more.
-                stats.logit_reads += live;
-                tile.matmul_into(v, &mut out, row_lo);
-                stats.o_writes += (rows * input.dk) as u64;
-                row_lo = row_hi;
-            }
-            out
-        })
-        .collect();
+    let scores = |g| F32Scores::new(input, g);
+    let outs = walk::<_, TwoPass>(input, rows_per_tile, input.seq_kv, mask, scores, &mut stats);
     (outs, stats)
 }
 

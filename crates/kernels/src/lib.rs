@@ -2,31 +2,43 @@
 //! is exact.
 //!
 //! The cost model in `flat-core` argues about cycles and bytes; this crate
-//! argues about *values*. It implements
+//! argues about *values*. [`naive_attention`] is the baseline that
+//! materializes the full `O(N²)` logit tensor. Every other prefill kernel
+//! runs one walk over each (batch, head) group: key chunks outermost, row
+//! tiles inside, each step computing an `R × C` logit tile, masking and
+//! scaling it, folding each row into a per-row softmax state, and adding
+//! its product with the value chunk into the output rows. The entry
+//! points differ only in what they plug into that walk:
 //!
-//! * [`naive_attention`] — the baseline that materializes the full
-//!   `O(N²)` logit tensor,
-//! * [`flat_attention`] — the FLAT row-granularity fused execution
-//!   (compute a `[R, N]` logit slice, softmax it, consume it, discard it),
-//! * [`streaming_attention`] — key-dimension tiling with
-//!   [`OnlineSoftmax`] rescaling, the extension FLAT's row-granularity
-//!   constraint points at (and FlashAttention later built on),
-//! * [`decode_attention`] — the autoregressive serving step: one query
-//!   row folded against a growing KV set in a single online-softmax pass
-//!   (`O(N)` per generated token), consumed by the `flat-serve` runtime,
+//! | entry point | scores | softmax fold | chunk `C` |
+//! |---|---|---|---|
+//! | [`flat_attention`], [`parallel_flat_attention`], [`instrumented_flat_attention`] | f32 | two-pass | `seq_kv` |
+//! | [`flat_attention_with`] | f32, packed bf16/f16 ([`HalfMat`]) or int8 | two-pass, [`FlashDSoftmax`], [`LogLutSoftmax`] | `seq_kv`; 512 for packed FLASH-D/log-LUT |
+//! | [`streaming_attention`], [`streaming_attention_with`] | f32, inputs rounded through the storage grid | [`OnlineSoftmax`], FLASH-D, log-LUT | `kv_tile` |
+//! | [`quantized_flat_attention`], [`quantized_flat_attention_with`] | int8 ([`QuantizedMat`]) | two-pass, FLASH-D, log-LUT | `seq_kv` |
 //!
-//! and proves, by unit and property tests, that all three agree to f32
-//! rounding for every shape, tile size, and mask — including
-//! cross-attention (`seq_q ≠ seq_kv`) and causal decoding.
+//! With `C = seq_kv` the walk is FLAT's row-granularity execution (compute
+//! a `[R, N]` logit slice, softmax it, consume it, discard it). A narrower
+//! chunk is the key-dimension tiling that FLAT's row-granularity
+//! constraint points at, and that FlashAttention later built on. The
+//! instrumented kernel runs the same walk with an [`ExecutionStats`]
+//! observer that counts every buffer touch.
 //!
-//! On top of the f32 reference sits the **mixed-precision kernel family**:
-//! every execution has a `_with` variant taking a [`ComputePrecision`]
-//! (f32, bf16/f16 packed storage with widening loads via [`HalfMat`], or
-//! int8 with an int8 score matrix) and a
-//! [`SoftmaxKind`](flat_tensor::SoftmaxKind) selecting the softmax
-//! algorithm — exact two-pass, [`FlashDSoftmax`] (division folded into the
-//! accumulation recurrence, no normalize pass), or [`LogLutSoftmax`]
-//! (log2-domain adds + LUT, no `exp` and no divider).
+//! [`decode_attention`] is the autoregressive serving step and stands
+//! apart: one query row folded against a growing KV set in a single
+//! online-softmax pass (`O(N)` per generated token), consumed by the
+//! `flat-serve` runtime.
+//!
+//! [`ComputePrecision`] selects the storage: f32, bf16/f16 packed storage
+//! widened to f32 for arithmetic, or int8 with integer GEMMs and an int8
+//! score matrix. [`SoftmaxKind`](flat_tensor::SoftmaxKind) selects the
+//! softmax: exact, FLASH-D (division folded into the accumulation
+//! recurrence, no normalize pass), or log-LUT (log2-domain adds + LUT, no
+//! `exp` and no divider).
+//!
+//! Unit and property tests check every kernel against the naive reference
+//! within its precision's bound, for every shape, tile size and mask,
+//! including cross-attention (`seq_q ≠ seq_kv`) and causal decoding.
 //!
 //! # Example
 //!
@@ -56,8 +68,7 @@ mod quantized;
 mod softmax;
 mod softmax_family;
 mod streaming;
-
-pub(crate) use fused::flat_attention_group;
+mod walk;
 
 pub use attention::{naive_attention, Mask, MultiHeadInput};
 pub use decode::{decode_attention, decode_attention_with};

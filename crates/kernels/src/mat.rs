@@ -365,31 +365,31 @@ const PMR: usize = 8;
 /// loop stores nothing.
 const ANR: usize = 16;
 
-/// `tile[r][j] = q[row_lo + r] · k[j]` for `j < k_rows` — the logit shape
-/// on a decoded key chunk, register-blocked wider than [`dot`]: `PMR`
-/// query rows stream each key row once, amortizing its loads eightfold.
-/// Used by the mixed-precision attention walk, where the key chunk was
-/// just widened out of packed storage and is cache-hot.
+/// `tile[r][j] = q[row_lo + r] · k[k_lo + j]` for `j < k_hi − k_lo` —
+/// the logit shape on one key chunk, register-blocked wider than [`dot`]:
+/// `PMR` query rows stream each key row once, amortizing its loads
+/// eightfold. Every element is bit-identical to [`dot`] on the same rows.
 pub(crate) fn wide_logits_into(
     q: &Mat,
     row_lo: usize,
     row_hi: usize,
     k: &Mat,
-    k_rows: usize,
+    k_lo: usize,
+    k_hi: usize,
     tile: &mut Mat,
 ) {
     debug_assert_eq!(q.cols, k.cols, "contraction dimensions must agree");
     debug_assert!(row_lo < row_hi && row_hi <= q.rows);
-    debug_assert!(k_rows <= k.rows && k_rows <= tile.cols);
+    debug_assert!(k_lo < k_hi && k_hi <= k.rows && k_hi - k_lo <= tile.cols);
     let kd = q.cols;
+    let keys = &k.data[k_lo * kd..k_hi * kd];
     let nrows = row_hi - row_lo;
     let panels = nrows / PMR;
     for p in 0..panels {
         let r0 = row_lo + p * PMR;
         let rows: [&[f32]; PMR] =
             std::array::from_fn(|r| &q.data[(r0 + r) * kd..(r0 + r + 1) * kd]);
-        for j in 0..k_rows {
-            let b = &k.data[j * kd..(j + 1) * kd];
+        for (j, b) in keys.chunks_exact(kd).enumerate() {
             let mut acc = [[0.0f32; LANES]; PMR];
             let chunks = kd / LANES;
             for ci in 0..chunks {
@@ -418,31 +418,35 @@ pub(crate) fn wide_logits_into(
     }
     for r in panels * PMR..nrows {
         let qrow = &q.data[(row_lo + r) * kd..(row_lo + r + 1) * kd];
-        for j in 0..k_rows {
-            tile.set(r, j, dot(qrow, &k.data[j * kd..(j + 1) * kd]));
+        for (j, b) in keys.chunks_exact(kd).enumerate() {
+            tile.set(r, j, dot(qrow, b));
         }
     }
 }
 
-/// `out[out_lo + r] += Σ_j w[r][j] · v[j]` for `r < nrows`, `j < width` —
-/// the Attend shape on a decoded value chunk, accumulating (the online
-/// softmax recurrences own the scaling of what is already in `out`).
+/// `out[out_lo + r] += Σ_j w[r][j] · v[v_lo + j]` for `r < nrows`,
+/// `j < v_hi − v_lo` — the Attend shape on one value chunk, accumulating
+/// (the softmax folds own the scaling of what is already in `out`).
 /// Unlike `gemm`'s outer-product walk, the `MR × ANR` output block is
 /// held in registers across the whole contraction: the hot loop reads one
 /// value-row slice and four broadcast weights per step and stores nothing.
+/// Each element is the ascending `mul_add` chain `gemm` computes.
 pub(crate) fn wide_attend_acc(
     w: &Mat,
     nrows: usize,
-    width: usize,
     v: &Mat,
+    v_lo: usize,
+    v_hi: usize,
     out: &mut Mat,
     out_lo: usize,
 ) {
     debug_assert_eq!(v.cols, out.cols, "output width must match values");
-    debug_assert!(width <= w.cols && width <= v.rows);
+    debug_assert!(v_lo < v_hi && v_hi <= v.rows && v_hi - v_lo <= w.cols);
     debug_assert!(out_lo + nrows <= out.rows);
     let n = out.cols;
     let wc = w.cols;
+    let width = v_hi - v_lo;
+    let vals = &v.data[v_lo * n..v_hi * n];
     let c = &mut out.data[out_lo * n..(out_lo + nrows) * n];
     let panels = nrows / MR;
     let col_blocks = n / ANR;
@@ -461,7 +465,7 @@ pub(crate) fn wide_attend_acc(
                     w.data[(i + 2) * wc + l],
                     w.data[(i + 3) * wc + l],
                 ];
-                let bv = &v.data[l * n + c0..l * n + c0 + ANR];
+                let bv = &vals[l * n + c0..l * n + c0 + ANR];
                 for (r, accr) in acc.iter_mut().enumerate() {
                     for (av, &b) in accr.iter_mut().zip(bv) {
                         *av = a[r].mul_add(b, *av);
@@ -477,7 +481,7 @@ pub(crate) fn wide_attend_acc(
             let lo = col_blocks * ANR;
             for l in 0..width {
                 let av = w.data[r * wc + l];
-                let brow = &v.data[l * n..(l + 1) * n];
+                let brow = &vals[l * n..(l + 1) * n];
                 for jc in lo..n {
                     c[r * n + jc] = av.mul_add(brow[jc], c[r * n + jc]);
                 }
@@ -487,12 +491,8 @@ pub(crate) fn wide_attend_acc(
     // Row tail past the last full MR panel.
     for r in panels * MR..nrows {
         let crow = &mut c[r * n..(r + 1) * n];
-        for l in 0..width {
+        for (l, brow) in vals.chunks_exact(n).enumerate() {
             let av = w.data[r * wc + l];
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &v.data[l * n..(l + 1) * n];
             for (cv, &bv) in crow.iter_mut().zip(brow) {
                 *cv = av.mul_add(bv, *cv);
             }

@@ -4,7 +4,8 @@
 //! accelerator — so the reference kernel parallelizes the same way on CPU
 //! threads.
 
-use crate::{flat_attention_group, Mask, Mat, MultiHeadInput};
+use crate::walk::{walk_group, F32Scores, TwoPass};
+use crate::{Mask, Mat, MultiHeadInput};
 use rayon::prelude::*;
 
 /// [`flat_attention`](crate::flat_attention) with the (batch, head)
@@ -43,7 +44,10 @@ pub fn parallel_flat_attention(
     assert!(threads > 0, "need at least one thread");
     (0..input.groups())
         .into_par_iter()
-        .map(|g| flat_attention_group(input, g, rows_per_tile, mask))
+        .map(|g| {
+            let scores = F32Scores::new(input, g);
+            walk_group::<_, TwoPass>(input, rows_per_tile, input.seq_kv, mask, scores, &mut ())
+        })
         .collect()
 }
 

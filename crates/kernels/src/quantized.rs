@@ -1,12 +1,12 @@
 //! Int8-quantized attention: the §7 orthogonality claim at the numerical
 //! level. FLAT is a dataflow; quantization is a model-level compression —
 //! this module runs the *same fused row-tiled execution* over int8 tensors
-//! (per-tensor symmetric scales, i32 accumulation, fp32 softmax) and
+//! (per-tensor symmetric scales, integer GEMMs, fp32 softmax) and
 //! measures what the precision costs, proving the two techniques compose
 //! without interfering.
 
-use crate::softmax_family::softmax_row_kind;
-use crate::{softmax_row, Mask, Mat, MultiHeadInput};
+use crate::walk::{walk, walk_kind, Scores, TwoPass};
+use crate::{Mask, Mat, MultiHeadInput};
 use flat_tensor::SoftmaxKind;
 
 /// A symmetric per-tensor int8 quantization of a matrix.
@@ -19,20 +19,40 @@ pub struct QuantizedMat {
     pub scale: f32,
 }
 
+/// The symmetric scale that maps the largest magnitude `max` onto ±127.
+fn symmetric_scale(max: f32) -> f32 {
+    if max == 0.0 {
+        1.0
+    } else {
+        max / 127.0
+    }
+}
+
+fn to_i8(x: f32, scale: f32) -> i8 {
+    (x / scale).round().clamp(-127.0, 127.0) as i8
+}
+
+fn abs_max<'a>(xs: impl IntoIterator<Item = &'a f32>) -> f32 {
+    xs.into_iter().fold(0.0f32, |a, &v| a.max(v.abs()))
+}
+
+/// `a · b` with i32 accumulation.
+fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| i32::from(x) * i32::from(y))
+        .sum()
+}
+
 impl QuantizedMat {
     /// Quantizes `m` symmetrically to int8.
     #[must_use]
     pub fn quantize(m: &Mat) -> Self {
-        let max = m.as_slice().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
-        let scale = if max == 0.0 { 1.0 } else { max / 127.0 };
+        let scale = symmetric_scale(abs_max(m.as_slice()));
         QuantizedMat {
             rows: m.rows(),
             cols: m.cols(),
-            data: m
-                .as_slice()
-                .iter()
-                .map(|&v| (v / scale).round().clamp(-127.0, 127.0) as i8)
-                .collect(),
+            data: m.as_slice().iter().map(|&v| to_i8(v, scale)).collect(),
             scale,
         }
     }
@@ -47,6 +67,10 @@ impl QuantizedMat {
     #[must_use]
     pub fn at(&self, i: usize, j: usize) -> i8 {
         self.data[i * self.cols + j]
+    }
+
+    fn row(&self, i: usize) -> &[i8] {
+        &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Dequantizes back to an f32 matrix — the values an int8-stored
@@ -69,12 +93,77 @@ impl QuantizedMat {
         assert_eq!(self.cols, other.cols, "contraction dimensions must agree");
         let s = self.scale * other.scale;
         Mat::from_fn(self.rows, other.rows, |i, j| {
-            let mut acc: i32 = 0;
-            for k in 0..self.cols {
-                acc += i32::from(self.at(i, k)) * i32::from(other.at(j, k));
-            }
-            acc as f32 * s
+            dot_i8(self.row(i), other.row(j)) as f32 * s
         })
+    }
+}
+
+/// Q/K/V quantized to int8: the logit tile is an i32 GEMM, optionally
+/// snapped onto an int8 grid after masking, and each tile's softmaxed
+/// probabilities are requantized to int8 for an integer PV GEMM.
+pub(crate) struct Int8Scores {
+    q: QuantizedMat,
+    k: QuantizedMat,
+    v: QuantizedMat,
+    snap_logits: bool,
+    lo: usize,
+    hi: usize,
+}
+
+impl Int8Scores {
+    pub(crate) fn new(input: &MultiHeadInput, g: usize, snap_logits: bool) -> Self {
+        Int8Scores {
+            q: QuantizedMat::quantize(&input.q[g]),
+            k: QuantizedMat::quantize(&input.k[g]),
+            v: QuantizedMat::quantize(&input.v[g]),
+            snap_logits,
+            lo: 0,
+            hi: 0,
+        }
+    }
+}
+
+impl Scores for Int8Scores {
+    fn load(&mut self, lo: usize, hi: usize) {
+        (self.lo, self.hi) = (lo, hi);
+    }
+
+    fn logits(&self, row_lo: usize, row_hi: usize, tile: &mut Mat) {
+        let s = self.q.scale * self.k.scale;
+        for i in row_lo..row_hi {
+            let q = self.q.row(i);
+            for (x, j) in tile.row_mut(i - row_lo).iter_mut().zip(self.lo..self.hi) {
+                *x = dot_i8(q, self.k.row(j)) as f32 * s;
+            }
+        }
+    }
+
+    fn snap(&self, row: &mut [f32]) {
+        if self.snap_logits {
+            snap_logits_int8(row);
+        }
+    }
+
+    fn attend(&mut self, p: &Mat, nrows: usize, out: &mut Mat, row_lo: usize) {
+        let width = self.hi - self.lo;
+        // One requantization scale for the whole tile of probabilities.
+        let p_scale = symmetric_scale(abs_max((0..nrows).flat_map(|r| &p.row(r)[..width])));
+        // i64: a row's sum reaches 127·127·seq_kv, past i32 at 133,145 keys.
+        let mut acc = vec![0i64; out.cols()];
+        for r in 0..nrows {
+            acc.fill(0);
+            for (&w, j) in p.row(r)[..width].iter().zip(self.lo..) {
+                let pj = i32::from(to_i8(w, p_scale));
+                if pj != 0 {
+                    for (a, &v) in acc.iter_mut().zip(self.v.row(j)) {
+                        *a += i64::from(pj * i32::from(v));
+                    }
+                }
+            }
+            for (o, &a) in out.row_mut(row_lo + r).iter_mut().zip(&acc) {
+                *o += a as f32 * p_scale * self.v.scale;
+            }
+        }
     }
 }
 
@@ -104,61 +193,8 @@ pub fn quantized_flat_attention(
     mask: Mask,
 ) -> Vec<Mat> {
     assert!(rows_per_tile > 0, "row tile must be positive");
-    let scale = input.scale();
-    (0..input.groups())
-        .map(|g| {
-            let q = QuantizedMat::quantize(&input.q[g]);
-            let k = QuantizedMat::quantize(&input.k[g]);
-            let v = QuantizedMat::quantize(&input.v[g]);
-            let mut out = Mat::zeros(input.seq_q, input.dk);
-            let mut row_lo = 0;
-            while row_lo < input.seq_q {
-                let row_hi = (row_lo + rows_per_tile).min(input.seq_q);
-                // Stage L: integer GEMM on the quantized slice.
-                let q_ref = &q;
-                let q_slice = QuantizedMat {
-                    rows: row_hi - row_lo,
-                    cols: input.dk,
-                    data: (row_lo..row_hi)
-                        .flat_map(|i| (0..input.dk).map(move |j| q_ref.at(i, j)))
-                        .collect(),
-                    scale: q.scale,
-                };
-                let mut tile = q_slice.matmul_transposed_dequant(&k);
-                for i in 0..tile.rows() {
-                    for j in 0..tile.cols() {
-                        let val = tile.at(i, j) * scale;
-                        tile.set(
-                            i,
-                            j,
-                            if mask.allows(row_lo + i, j) {
-                                val
-                            } else {
-                                f32::NEG_INFINITY
-                            },
-                        );
-                    }
-                }
-                // SFU: fp32 softmax (probabilities need the dynamic range).
-                for i in 0..tile.rows() {
-                    softmax_row(tile.row_mut(i));
-                }
-                // Stage A: requantize the probabilities, integer GEMM with V.
-                let p = QuantizedMat::quantize(&tile);
-                for i in 0..p.rows() {
-                    for d in 0..input.dk {
-                        let mut acc: i32 = 0;
-                        for j in 0..input.seq_kv {
-                            acc += i32::from(p.at(i, j)) * i32::from(v.at(j, d));
-                        }
-                        out.set(row_lo + i, d, acc as f32 * p.scale * v.scale);
-                    }
-                }
-                row_lo = row_hi;
-            }
-            out
-        })
-        .collect()
+    let scores = |g| Int8Scores::new(input, g, false);
+    walk::<_, TwoPass>(input, rows_per_tile, input.seq_kv, mask, scores, &mut ())
 }
 
 /// Snaps the *finite* logits of a row onto a symmetric 127-level int8
@@ -210,65 +246,10 @@ pub fn quantized_flat_attention_with(
     kind: SoftmaxKind,
 ) -> Vec<Mat> {
     assert!(rows_per_tile > 0, "row tile must be positive");
-    let scale = input.scale();
-    (0..input.groups())
-        .map(|g| {
-            let q = QuantizedMat::quantize(&input.q[g]);
-            let k = QuantizedMat::quantize(&input.k[g]);
-            let v = QuantizedMat::quantize(&input.v[g]);
-            let mut out = Mat::zeros(input.seq_q, input.dk);
-            let mut row_lo = 0;
-            while row_lo < input.seq_q {
-                let row_hi = (row_lo + rows_per_tile).min(input.seq_q);
-                let q_ref = &q;
-                let q_slice = QuantizedMat {
-                    rows: row_hi - row_lo,
-                    cols: input.dk,
-                    data: (row_lo..row_hi)
-                        .flat_map(|i| (0..input.dk).map(move |j| q_ref.at(i, j)))
-                        .collect(),
-                    scale: q.scale,
-                };
-                let mut tile = q_slice.matmul_transposed_dequant(&k);
-                for i in 0..tile.rows() {
-                    for j in 0..tile.cols() {
-                        let val = tile.at(i, j) * scale;
-                        tile.set(
-                            i,
-                            j,
-                            if mask.allows(row_lo + i, j) {
-                                val
-                            } else {
-                                f32::NEG_INFINITY
-                            },
-                        );
-                    }
-                }
-                for i in 0..tile.rows() {
-                    let row = tile.row_mut(i);
-                    // The score matrix itself goes to the int8 grid here;
-                    // the softmax then runs as the selected family member.
-                    snap_logits_int8(row);
-                    match kind {
-                        SoftmaxKind::Exact => softmax_row(row),
-                        other => softmax_row_kind(row, other),
-                    }
-                }
-                let p = QuantizedMat::quantize(&tile);
-                for i in 0..p.rows() {
-                    for d in 0..input.dk {
-                        let mut acc: i32 = 0;
-                        for j in 0..input.seq_kv {
-                            acc += i32::from(p.at(i, j)) * i32::from(v.at(j, d));
-                        }
-                        out.set(row_lo + i, d, acc as f32 * p.scale * v.scale);
-                    }
-                }
-                row_lo = row_hi;
-            }
-            out
-        })
-        .collect()
+    // Requantizing P per tile needs each tile's rows whole.
+    walk_kind::<_, TwoPass>(kind, input, rows_per_tile, input.seq_kv, mask, |g| {
+        Int8Scores::new(input, g, true)
+    })
 }
 
 #[cfg(test)]
@@ -352,6 +333,35 @@ mod tests {
         let mut zeros = [0.0f32, f32::NEG_INFINITY];
         snap_logits_int8(&mut zeros);
         assert_eq!(zeros, [0.0, f32::NEG_INFINITY]);
+    }
+
+    #[test]
+    fn pv_sum_past_the_i32_range_stays_exact() {
+        // 127 · 127 · 140,000 > 2³¹: the PV accumulator must be wider than
+        // i32, or this uniform row comes back wrapped (or panics in debug).
+        let seq_kv = 140_000;
+        let ones = |rows| Mat::from_fn(rows, 1, |_, _| 1.0);
+        let input = MultiHeadInput {
+            batch: 1,
+            heads: 1,
+            seq_q: 1,
+            seq_kv,
+            dk: 1,
+            q: vec![ones(1)],
+            k: vec![ones(seq_kv)],
+            v: vec![ones(seq_kv)],
+        };
+        let plain = quantized_flat_attention(&input, 1, Mask::None);
+        let flash = crate::flat_attention_with(
+            &input,
+            1,
+            Mask::None,
+            crate::ComputePrecision::Int8,
+            SoftmaxKind::FlashD,
+        );
+        for out in [&plain[0], &flash[0]] {
+            assert!((out.at(0, 0) - 1.0).abs() < 1e-3, "{}", out.at(0, 0));
+        }
     }
 
     #[test]
