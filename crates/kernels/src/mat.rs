@@ -205,11 +205,10 @@ impl Mat {
     }
 
     /// `self[lo..hi] · otherᵀ` — one FLAT tile of logits, computed
-    /// straight from the parent matrix's rows. The tile path uses this
-    /// instead of `row_slice` + [`Self::matmul_transposed`]: no copy of
-    /// the Q rows is ever made, and the result is bit-identical to the
-    /// copying form because both run the same `dot` kernel on the same
-    /// rows.
+    /// straight from the parent matrix's rows. No copy of the rows is
+    /// made, and the result is bit-identical to `row_slice` +
+    /// [`Self::matmul_transposed`] because both run the same `dot` kernel
+    /// on the same rows.
     ///
     /// # Panics
     ///

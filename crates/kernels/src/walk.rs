@@ -46,6 +46,9 @@ pub(crate) trait Scores {
 
 /// A per-row softmax state, fed one chunk of the row at a time.
 pub(crate) trait Fold: Clone + Default {
+    /// Whether the fold needs each row whole, in one chunk.
+    const WHOLE_ROW: bool = false;
+
     /// Turns a chunk of masked, scaled logits into PV weights in place and
     /// returns the factor for the output accumulated from earlier chunks.
     fn fold(&mut self, chunk: &mut [f32]) -> f32;
@@ -65,11 +68,13 @@ pub(crate) trait Observer {
 
 impl Observer for () {}
 
-/// The exact two-pass softmax. It needs the whole row in one chunk.
+/// The exact two-pass softmax.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct TwoPass;
 
 impl Fold for TwoPass {
+    const WHOLE_ROW: bool = true;
+
     fn fold(&mut self, chunk: &mut [f32]) -> f32 {
         softmax_row(chunk);
         1.0
@@ -193,7 +198,7 @@ impl Scores for HalfScores {
 }
 
 /// The walk over one group, in chunks of `chunk` keys (clamped to
-/// `seq_kv`). [`TwoPass`] needs `chunk ≥ seq_kv`.
+/// `seq_kv`).
 pub(crate) fn walk_group<S: Scores, F: Fold>(
     input: &MultiHeadInput,
     rows_per_tile: usize,
@@ -204,6 +209,7 @@ pub(crate) fn walk_group<S: Scores, F: Fold>(
 ) -> Mat {
     let (seq_q, seq_kv, dk) = (input.seq_q, input.seq_kv, input.dk);
     let scale = input.scale();
+    assert!(!F::WHOLE_ROW || chunk >= seq_kv, "fold needs whole rows");
     let chunk = chunk.min(seq_kv);
     let mut out = Mat::zeros(seq_q, dk);
     let mut folds = vec![F::default(); seq_q];
