@@ -43,8 +43,6 @@ const SHAPES: [(usize, usize, usize, usize, usize, usize); 4] = [
 
 const MASKS: [Mask; 2] = [Mask::None, Mask::Causal];
 
-const KINDS: [SoftmaxKind; 3] = [SoftmaxKind::Exact, SoftmaxKind::FlashD, SoftmaxKind::LogLut];
-
 /// FNV-1a over 64-bit words.
 struct Digest(u64);
 
@@ -139,7 +137,7 @@ fn digests() -> Vec<(String, u64)> {
         (
             "quantized_flat_attention_with".to_string(),
             over_grid(|x, m, r, d| {
-                for kind in KINDS {
+                for &kind in SoftmaxKind::all() {
                     d.mats(&quantized_flat_attention_with(x, r, m, kind));
                 }
             }),
@@ -157,7 +155,7 @@ fn digests() -> Vec<(String, u64)> {
         all.push((
             format!("flat_attention_with/{p}"),
             over_grid(|x, m, r, d| {
-                for kind in KINDS {
+                for &kind in SoftmaxKind::all() {
                     d.mats(&flat_attention_with(x, r, m, p, kind));
                 }
             }),
@@ -165,7 +163,7 @@ fn digests() -> Vec<(String, u64)> {
         all.push((
             format!("streaming_attention_with/{p}"),
             over_grid(|x, m, r, d| {
-                for kind in KINDS {
+                for &kind in SoftmaxKind::all() {
                     for kv in kv_tiles(x) {
                         d.mats(&streaming_attention_with(x, r, kv, m, p, kind));
                     }
