@@ -1,10 +1,10 @@
-//! Criterion benchmarks of the discrete-event simulator: cost per
-//! simulated workload, fused vs sequential, and block-level.
+//! Criterion benchmarks of the `flat-desim` event backend: cost per
+//! simulated workload, fused vs sequential.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flat_arch::Accelerator;
-use flat_core::{BlockDataflow, FusedDataflow, Granularity};
-use flat_sim::{simulate_block, simulate_fused, simulate_sequential, SimOptions};
+use flat_core::{FusedDataflow, Granularity, OperatorDataflow, Stationarity};
+use flat_desim::{simulate_fused_event, simulate_sequential_event, EventOptions};
 use flat_workloads::Model;
 use std::hint::black_box;
 
@@ -12,21 +12,32 @@ fn bench_sim(c: &mut Criterion) {
     let accel = Accelerator::edge();
     let mut group = c.benchmark_group("sim");
     group.sample_size(20);
+    let base = OperatorDataflow::baseline(Stationarity::Weight);
     for seq in [512u64, 4096] {
         let block = Model::bert().block(64, seq);
         let df = FusedDataflow::new(Granularity::Row(64));
         group.bench_with_input(BenchmarkId::new("fused", seq), &block, |b, blk| {
-            b.iter(|| black_box(simulate_fused(&accel, blk, &df, SimOptions::default())));
+            b.iter(|| {
+                black_box(simulate_fused_event(
+                    &accel,
+                    blk,
+                    &df,
+                    EventOptions::default(),
+                ))
+            });
         });
         group.bench_with_input(BenchmarkId::new("sequential", seq), &block, |b, blk| {
-            b.iter(|| black_box(simulate_sequential(&accel, blk, SimOptions::default())));
+            b.iter(|| {
+                black_box(simulate_sequential_event(
+                    &accel,
+                    blk,
+                    &base,
+                    &base,
+                    EventOptions::default(),
+                ))
+            });
         });
     }
-    let block = Model::bert().block(64, 512);
-    let df = BlockDataflow::flat(Granularity::Row(64));
-    group.bench_function("block/edge-bert-512", |b| {
-        b.iter(|| black_box(simulate_block(&accel, &block, &df, SimOptions::default())));
-    });
     group.finish();
 }
 

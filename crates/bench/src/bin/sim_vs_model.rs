@@ -1,5 +1,6 @@
-//! Cross-validation table: discrete-event simulation vs the analytical
-//! cost model, across platforms, sequence lengths, and dataflows.
+//! Cross-validation table: the `flat-desim` event backend vs the
+//! analytical cost model, across platforms, sequence lengths, and
+//! dataflows.
 //!
 //! Run: `cargo run --release -p flat-bench --bin sim_vs_model -- [--quick]`
 
@@ -8,7 +9,7 @@ use flat_bench::{args::Args, row, seq_label, BATCH};
 use flat_core::{
     CostModel, FusedDataflow, Granularity, ModelOptions, OperatorDataflow, Stationarity,
 };
-use flat_sim::{simulate_fused, simulate_sequential, SimOptions};
+use flat_desim::{simulate_fused_event, simulate_sequential_event, EventOptions};
 use flat_workloads::Model;
 
 fn main() {
@@ -21,8 +22,8 @@ fn main() {
         "seq",
         "dataflow",
         "analytical",
-        "simulated",
-        "sim/analytical",
+        "event",
+        "event/analytical",
     ]
     .map(String::from));
 
@@ -38,11 +39,22 @@ fn main() {
         cases.push((Accelerator::cloud(), Model::xlm(), 65_536, 256));
     }
 
+    // The baseline runs its softmax as a serial phase on both sides.
+    let serial = EventOptions {
+        model: ModelOptions {
+            overlap_softmax: false,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let base = OperatorDataflow::baseline(Stationarity::Weight);
     for (accel, model, seq, r) in cases {
         let block = model.block(BATCH, seq);
         let fused = FusedDataflow::new(Granularity::Row(r));
         let a_fused = CostModel::new(&accel).fused_la_cost(&block, &fused).cycles;
-        let s_fused = simulate_fused(&accel, &block, &fused, SimOptions::default()).cycles;
+        let s_fused = simulate_fused_event(&accel, &block, &fused, EventOptions::default())
+            .expect("wiring is sound")
+            .cycles;
         row([
             accel.name.clone(),
             model.to_string(),
@@ -53,17 +65,12 @@ fn main() {
             format!("{:.3}", s_fused / a_fused),
         ]);
 
-        let base = OperatorDataflow::baseline(Stationarity::Weight);
-        let a_base = CostModel::with_options(
-            &accel,
-            ModelOptions {
-                overlap_softmax: false,
-                ..Default::default()
-            },
-        )
-        .sequential_la_cost(&block, &base, &base)
-        .cycles;
-        let s_base = simulate_sequential(&accel, &block, SimOptions::default()).cycles;
+        let a_base = CostModel::with_options(&accel, serial.model)
+            .sequential_la_cost(&block, &base, &base)
+            .cycles;
+        let s_base = simulate_sequential_event(&accel, &block, &base, &base, serial)
+            .expect("wiring is sound")
+            .cycles;
         row([
             accel.name.clone(),
             model.to_string(),
@@ -75,6 +82,7 @@ fn main() {
         ]);
     }
     println!();
-    println!("# Agreement within a few percent in compute-bound regimes and within tens of");
-    println!("# percent in memory-bound ones validates the closed-form model the figures use.");
+    println!("# The event backend executes the same lane demands the closed form folds; agreement");
+    println!("# to within one percent (the baseline's residual is its phase-slice pipeline fill)");
+    println!("# validates the closed-form model the figures use.");
 }

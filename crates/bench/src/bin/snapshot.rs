@@ -513,7 +513,7 @@ fn fleet_entries(quick: bool) -> Vec<Entry> {
 /// "Model validation").
 fn validation_entries(quick: bool) -> Vec<Entry> {
     use flat_core::{CostModel, FusedDataflow, Granularity, LaExecution};
-    use flat_sim::{agreement, simulate_la_event, EventOptions};
+    use flat_desim::{agreement, simulate_la_event, EventOptions};
     let (seq, reps) = if quick { (512, 1) } else { (4096, 3) };
     let accel = flat_bench::platform("edge");
     let model = flat_bench::model("bert");

@@ -24,9 +24,10 @@ USAGE:
                                        # x collective algorithm x overlap on a cluster
   flat trace --platform edge --model bert --seq 512 --dataflow flat-r64 [--width 48]
   flat loopnest --dataflow flat-r64 [--seq N]   # Figure 4-style loop nest
-  flat sim   --platform edge --model bert --seq 512 --dataflow flat-r64 [--trace-json FILE]
+  flat sim   --platform edge --model bert --seq 512 --dataflow flat-r64
              [--engine analytical|event|both] [--tolerance 0.05] [--buffers N]
-             [--sweep] [--json]   # --engine both cross-validates the cost model
+             [--trace-json FILE] [--sweep] [--json]   # analytical (default) prices, event
+                                                      # simulates, both cross-validates
   flat bw    --platform cloud --model xlm --seq 8192 [--target-milli 950]
   flat serve --platform cloud --model bert --requests 256 --arrival-rate 64 [--seed N]
              [--task short-nlp|image-generation|summarization|language-modeling|music-processing]
@@ -535,15 +536,20 @@ pub fn trace(args: &Args) -> Result<(), String> {
 /// `flat sim` — simulate a dataflow and compare with the analytical
 /// model.
 ///
-/// `--engine analytical` (default) runs the `flat-sim` job-graph
-/// simulator; `--engine event` runs the `flat-desim` discrete-event
-/// backend; `--engine both` runs the closed-form pricing against the
-/// event backend and reports their relative divergence (add `--sweep`
-/// for the seq-len × dataflow validation grid).
+/// `--engine analytical` (default) prints the closed-form pricing alone;
+/// `--engine event` runs the `flat-desim` discrete-event backend;
+/// `--engine both` runs the closed-form pricing against the event
+/// backend and reports their relative divergence (add `--sweep` for the
+/// seq-len × dataflow validation grid).
 pub fn sim(args: &Args) -> Result<(), String> {
     let setup = parse::setup(args)?;
     let df = parse::dataflow(&args.get("dataflow", "flat-r64"))?;
-    let engine = flat_sim::SimBackend::parse(&args.get("engine", "analytical"))?;
+    let engine = args.get("engine", "analytical");
+    if !matches!(engine.as_str(), "analytical" | "event" | "both") {
+        return Err(format!(
+            "unknown engine '{engine}' (expected analytical, event, or both)"
+        ));
+    }
     let tolerance = parse::opt_f64_arg(args, "tolerance")?.unwrap_or(0.05);
     if !(0.0..=1.0).contains(&tolerance) {
         return Err(format!(
@@ -556,48 +562,27 @@ pub fn sim(args: &Args) -> Result<(), String> {
             "--buffers expects 1..=64 staging slots, got {buffers}"
         ));
     }
-    if args.flag("sweep") && engine != flat_sim::SimBackend::Both {
+    if args.flag("sweep") && engine != "both" {
         return Err("--sweep requires --engine both".to_owned());
     }
     let trace_path = args.get("trace-json", "");
-    match engine {
-        flat_sim::SimBackend::Analytical => sim_analytical(args, &setup, &df, &trace_path),
-        flat_sim::SimBackend::Event => sim_event(args, &setup, &df, buffers as u32, &trace_path),
-        flat_sim::SimBackend::Both => {
-            sim_both(args, &setup, &df, buffers as u32, tolerance, &trace_path)
-        }
+    if !trace_path.is_empty() && engine == "analytical" {
+        return Err("--trace-json requires --engine event or --engine both".to_owned());
+    }
+    match engine.as_str() {
+        "event" => sim_event(args, &setup, &df, buffers as u32, &trace_path),
+        "both" => sim_both(args, &setup, &df, buffers as u32, tolerance, &trace_path),
+        _ => sim_analytical(args, &setup, &df),
     }
 }
 
-/// The historical `flat sim` path: the job-graph simulator vs the
-/// closed form.
+/// `flat sim --engine analytical` — the closed-form pricing alone.
 fn sim_analytical(
     args: &Args,
     setup: &parse::Setup,
     df: &flat_core::BlockDataflow,
-    trace_path: &str,
 ) -> Result<(), String> {
-    let opts = flat_sim::SimOptions {
-        record_trace: !trace_path.is_empty(),
-        // Keep exported traces viewable.
-        max_simulated_iterations: if trace_path.is_empty() { 4096 } else { 512 },
-        ..flat_sim::SimOptions::default()
-    };
-    let cm = CostModel::new(&setup.accel);
-    let analytical = cm.la_cost(&setup.block, &df.la);
-    let simulated = match df.la {
-        flat_core::LaExecution::Fused(fused) => {
-            flat_sim::simulate_fused(&setup.accel, &setup.block, &fused, opts)
-        }
-        flat_core::LaExecution::Sequential { .. } => {
-            flat_sim::simulate_sequential(&setup.accel, &setup.block, opts)
-        }
-    };
-    if !trace_path.is_empty() {
-        std::fs::write(trace_path, simulated.to_chrome_trace())
-            .map_err(|e| format!("{trace_path}: {e}"))?;
-        eprintln!("wrote Chrome trace to {trace_path} (open in chrome://tracing or Perfetto)");
-    }
+    let analytical = CostModel::new(&setup.accel).la_cost(&setup.block, &df.la);
     if args.flag("json") {
         println!(
             "{}",
@@ -607,8 +592,6 @@ fn sim_analytical(
                 "dataflow": df.label(),
                 "seq": setup.seq,
                 "analytical_cycles": analytical.cycles,
-                "simulated_cycles": simulated.cycles,
-                "ratio": simulated.cycles / analytical.cycles,
             }))
             .expect("report serializes")
         );
@@ -625,20 +608,6 @@ fn sim_analytical(
         analytical.cycles,
         analytical.util()
     );
-    println!("simulated:   {simulated}");
-    println!(
-        "sim/analytical: {:.3}",
-        simulated.cycles / analytical.cycles
-    );
-    println!();
-    for u in &simulated.resources {
-        println!(
-            "  {:5} busy {:.3e} cycles ({:.1}% of makespan)",
-            u.name,
-            u.busy_cycles,
-            u.occupancy * 100.0
-        );
-    }
     Ok(())
 }
 
@@ -647,14 +616,14 @@ fn event_options(
     args: &Args,
     buffers: u32,
     trace_path: &str,
-) -> Result<flat_sim::EventOptions, String> {
-    Ok(flat_sim::EventOptions {
+) -> Result<flat_desim::EventOptions, String> {
+    Ok(flat_desim::EventOptions {
         model: parse::model_options(args)?,
         buffers,
         // Keep exported traces viewable.
         max_iterations: if trace_path.is_empty() { 4096 } else { 512 },
         record_trace: !trace_path.is_empty(),
-        ..flat_sim::EventOptions::default()
+        ..flat_desim::EventOptions::default()
     })
 }
 
@@ -667,7 +636,7 @@ fn sim_event(
     trace_path: &str,
 ) -> Result<(), String> {
     let opts = event_options(args, buffers, trace_path)?;
-    let report = flat_sim::simulate_la_event(&setup.accel, &setup.block, &df.la, opts)
+    let report = flat_desim::simulate_la_event(&setup.accel, &setup.block, &df.la, opts)
         .map_err(|e| e.to_string())?;
     if !trace_path.is_empty() {
         std::fs::write(trace_path, report.to_chrome_trace())
@@ -745,16 +714,22 @@ fn sim_both(
     trace_path: &str,
 ) -> Result<(), String> {
     let opts = event_options(args, buffers, trace_path)?;
-    let agreement =
-        flat_sim::agreement(&setup.accel, &setup.block, &df.la, opts).map_err(|e| e.to_string())?;
+    let agreement = flat_desim::agreement(&setup.accel, &setup.block, &df.la, opts)
+        .map_err(|e| e.to_string())?;
     let sweep = if args.flag("sweep") {
-        flat_sim::agreement_sweep(&setup.accel, &[512, 1024, 4096], opts)
-            .map_err(|e| e.to_string())?
+        flat_desim::agreement_sweep(
+            &setup.accel,
+            &setup.model,
+            setup.batch,
+            &[512, 1024, 4096],
+            opts,
+        )
+        .map_err(|e| e.to_string())?
     } else {
         Vec::new()
     };
     if !trace_path.is_empty() {
-        let report = flat_sim::simulate_la_event(&setup.accel, &setup.block, &df.la, opts)
+        let report = flat_desim::simulate_la_event(&setup.accel, &setup.block, &df.la, opts)
             .map_err(|e| e.to_string())?;
         std::fs::write(trace_path, report.to_chrome_trace())
             .map_err(|e| format!("{trace_path}: {e}"))?;

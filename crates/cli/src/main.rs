@@ -6,7 +6,8 @@
 //! flat dse   --platform cloud --model xlm --seq 16384 [--space base|base-m|fused|full] [--objective max-util] [--json]
 //! flat trace --platform edge --model bert --seq 512 --dataflow flat-r64 [--width 48]
 //! flat loopnest --dataflow flat-r64 [--seq N]
-//! flat sim   --platform edge --model bert --seq 512 --dataflow flat-r64 [--trace-json FILE]
+//! flat sim   --platform edge --model bert --seq 512 --dataflow flat-r64
+//!            [--engine analytical|event|both] [--trace-json FILE] [--sweep]
 //! flat bw    --platform cloud --model xlm --seq 8192 [--target-milli 950]
 //! flat serve --platform cloud --model bert --requests 256 --arrival-rate 64 [--slo-ms MS] [--chaos SEED]
 //!            [--trace FILE] [--metrics FILE] [--json]

@@ -276,6 +276,15 @@ fn bad_sim_engine_and_tolerance_are_diagnostics() {
         "--sweep without both must be rejected"
     );
     assert!(stderr(&out).contains("--engine both"), "{}", stderr(&out));
+
+    let out = flat(&["sim", "--seq", "512", "--trace-json", "t.json"]);
+    assert!(
+        !out.status.success(),
+        "--trace-json on the analytical engine must be rejected"
+    );
+    let err = stderr(&out);
+    assert!(err.contains("--trace-json"), "{err}");
+    assert_eq!(err.trim().lines().count(), 1, "one-line diagnostic: {err}");
 }
 
 /// `flat sim --engine both --json` is the CI validation smoke: it must
@@ -306,6 +315,19 @@ fn sim_both_json_reports_divergence() {
     assert!(
         json.contains("\"within_tolerance\":true"),
         "uncontended config agrees: {json}"
+    );
+}
+
+/// The default engine prices the closed form and simulates nothing.
+#[test]
+fn sim_analytical_json_prices_without_simulating() {
+    let out = flat(&["sim", "--seq", "512", "--engine", "analytical", "--json"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let json = String::from_utf8_lossy(&out.stdout).replace(char::is_whitespace, "");
+    assert!(json.contains("\"analytical_cycles\":"), "{json}");
+    assert!(
+        !json.contains("simulated") && !json.contains("event"),
+        "{json}"
     );
 }
 

@@ -1,60 +1,17 @@
-//! Simulation backend selection and the analytical/event agreement
-//! harness.
+//! The analytical/event agreement harness.
 //!
-//! `flat sim` historically ran one engine: the job-graph simulator in
-//! this crate. The `flat-desim` event backend adds a second,
-//! independently-built execution of the same dataflow, and this module
-//! is where the two meet: [`SimBackend`] names the engine, [`agreement`]
-//! runs an analytical pricing and an event simulation of one
-//! configuration and reports their relative divergence, and
+//! [`agreement`] runs the closed-form pricing and an event simulation of
+//! one configuration and reports their relative divergence;
 //! [`agreement_sweep`] does so across the seq-len × dataflow grid the
 //! validation suite and `flat sim --engine both --sweep` report.
 
+use crate::executor::{simulate_la_event, EventOptions};
+use crate::EngineError;
 use flat_arch::Accelerator;
 use flat_core::{
     CostModel, FusedDataflow, Granularity, LaExecution, OperatorDataflow, Stationarity,
 };
-use flat_desim::{simulate_la_event, EngineError, EventOptions};
 use flat_workloads::{AttentionBlock, Model};
-
-/// Which engine `flat sim` runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimBackend {
-    /// The closed-form cost model only (the historical default).
-    Analytical,
-    /// The `flat-desim` discrete-event backend only.
-    Event,
-    /// Both, reporting per-configuration relative divergence.
-    Both,
-}
-
-impl SimBackend {
-    /// Parses a `--engine` value.
-    ///
-    /// # Errors
-    ///
-    /// Returns a one-line diagnostic naming the accepted values.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "analytical" => Ok(SimBackend::Analytical),
-            "event" => Ok(SimBackend::Event),
-            "both" => Ok(SimBackend::Both),
-            other => Err(format!(
-                "unknown engine '{other}' (expected analytical, event, or both)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for SimBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SimBackend::Analytical => "analytical",
-            SimBackend::Event => "event",
-            SimBackend::Both => "both",
-        })
-    }
-}
 
 /// One analytical-vs-event comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,7 +71,7 @@ pub struct AgreementRow {
 
 /// The seq-len × dataflow grid of the validation sweep: FLAT at row,
 /// coarse-row, and head granularity plus the sequential baseline, each
-/// at every `seq_lens` entry, on a BERT-Base block.
+/// at every `seq_lens` entry, on `model`'s block at `batch`.
 ///
 /// # Errors
 ///
@@ -122,6 +79,8 @@ pub struct AgreementRow {
 /// data-dependent failure.
 pub fn agreement_sweep(
     accel: &Accelerator,
+    model: &Model,
+    batch: u64,
     seq_lens: &[u64],
     opts: EventOptions,
 ) -> Result<Vec<AgreementRow>, EngineError> {
@@ -149,7 +108,7 @@ pub fn agreement_sweep(
     ];
     let mut rows = Vec::with_capacity(seq_lens.len() * configs.len());
     for &seq in seq_lens {
-        let block = Model::bert().block(64, seq);
+        let block = model.block(batch, seq);
         for (label, la) in &configs {
             rows.push(AgreementRow {
                 dataflow: (*label).to_owned(),
@@ -166,15 +125,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backend_parses_all_three_engines() {
-        assert_eq!(SimBackend::parse("analytical"), Ok(SimBackend::Analytical));
-        assert_eq!(SimBackend::parse("event"), Ok(SimBackend::Event));
-        assert_eq!(SimBackend::parse("both"), Ok(SimBackend::Both));
-        let err = SimBackend::parse("magic").expect_err("rejects");
-        assert!(err.contains("analytical, event, or both"), "{err}");
-    }
-
-    #[test]
     fn agreement_reports_signed_divergence() {
         let a = Agreement {
             analytical_cycles: 100.0,
@@ -188,9 +138,28 @@ mod tests {
     #[test]
     fn sweep_covers_the_grid() {
         let accel = Accelerator::edge();
-        let rows = agreement_sweep(&accel, &[512, 1024], EventOptions::default()).expect("runs");
+        let rows = agreement_sweep(
+            &accel,
+            &Model::bert(),
+            64,
+            &[512, 1024],
+            EventOptions::default(),
+        )
+        .expect("runs");
         assert_eq!(rows.len(), 8);
         assert!(rows.iter().any(|r| r.dataflow == "base"));
         assert!(rows.iter().all(|r| r.agreement.analytical_cycles > 0.0));
+
+        // The sweep prices the block it is given, not a fixed BERT/64 one.
+        let xlm = Model::xlm();
+        let rows =
+            agreement_sweep(&accel, &xlm, 8, &[1024], EventOptions::default()).expect("runs");
+        let cm = CostModel::new(&accel);
+        let flat_r64 = LaExecution::Fused(FusedDataflow::new(Granularity::Row(64)));
+        assert_eq!(rows[0].dataflow, "flat-r64");
+        assert_eq!(
+            rows[0].agreement.analytical_cycles,
+            cm.la_cost(&xlm.block(8, 1024), &flat_r64).cycles
+        );
     }
 }

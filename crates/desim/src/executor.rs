@@ -51,7 +51,7 @@ pub struct EventOptions {
     /// Sequential phases execute as this many equal pipelined slices.
     pub phase_slices: u64,
     /// Iteration cap; longer workloads extrapolate the measured
-    /// steady-state period (mirrors `flat-sim`).
+    /// steady-state period.
     pub max_iterations: u64,
     /// Record lane slices and buffer-occupancy samples for export.
     pub record_trace: bool,

@@ -22,6 +22,9 @@
 //!   occupancy, and a Perfetto-loadable Chrome trace through
 //!   `flat-telemetry` (one thread lane per hardware lane, a
 //!   tiles-in-flight counter track).
+//! * [`agreement`] / [`agreement_sweep`] — the closed form and the event
+//!   backend side by side, as a signed relative divergence per
+//!   configuration.
 //!
 //! On an uncontended machine (buffers ≥ 2, the double-buffering the
 //! model assumes) the pipeline's steady-state iteration period converges
@@ -59,11 +62,13 @@
 // backend must never panic a run. CI gates this.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+mod agreement;
 mod engine;
 mod executor;
 mod report;
 mod script;
 
+pub use agreement::{agreement, agreement_sweep, Agreement, AgreementRow};
 pub use engine::{
     ChannelId, ChannelStats, Context, ContextId, ContextStats, Engine, EngineError, Io, Poll,
     RunStats, TraceSlice,

@@ -45,7 +45,6 @@ pub use flat_gpu as gpu;
 pub use flat_insight as insight;
 pub use flat_kernels as kernels;
 pub use flat_serve as serve;
-pub use flat_sim as sim;
 pub use flat_telemetry as telemetry;
 pub use flat_tensor as tensor;
 pub use flat_workloads as workloads;

@@ -1,20 +1,22 @@
 //! Property-based cross-validation of the `flat-desim` event backend
-//! against the analytical cost model, through the `flat-sim` agreement
-//! harness — the whole-stack counterpart of the deterministic grid in
+//! against the analytical cost model, through its agreement harness —
+//! the whole-stack counterpart of the deterministic grid in
 //! `crates/desim/tests/agreement.rs`.
 //!
 //! The property: on *uncontended* configurations (staging buffers ≥ 2,
 //! the double buffering the closed form assumes) the two backends agree
 //! within the 5 % tolerance `flat sim --engine both` defaults to, across
-//! randomly drawn sequence lengths, tile sizes, and dataflows. The
+//! randomly drawn sequence lengths, batch sizes, tile sizes, and
+//! dataflows, and both rank FLAT ahead of the sequential baseline. The
 //! pinned fixtures below assert the complement: contention and
 //! single-tile passes *must* be detected as divergence.
 
 use flat::arch::Accelerator;
 use flat::core::{
-    FusedDataflow, Granularity, LaExecution, ModelOptions, OperatorDataflow, Stationarity,
+    CostModel, FusedDataflow, Granularity, LaExecution, ModelOptions, OperatorDataflow,
+    Stationarity,
 };
-use flat::sim::{agreement, agreement_sweep, EventOptions};
+use flat::desim::{agreement, agreement_sweep, simulate_fused_event, EventOptions};
 use flat::workloads::Model;
 use proptest::prelude::*;
 
@@ -34,7 +36,7 @@ fn quick(model: ModelOptions, buffers: u32) -> EventOptions {
 
 fn granularity_strategy() -> impl Strategy<Value = Granularity> {
     prop_oneof![
-        prop::sample::select(vec![32u64, 64, 128, 256]).prop_map(Granularity::Row),
+        prop::sample::select(vec![16u64, 32, 64, 128, 256]).prop_map(Granularity::Row),
         Just(Granularity::Head),
     ]
 }
@@ -43,24 +45,32 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Uncontended fused configs agree within tolerance for any drawn
-    /// (seq_len, tile rows, granularity, buffering depth).
+    /// (seq_len, batch, tile rows, granularity, buffering depth), and
+    /// never beat the compute-bound ideal.
     #[test]
     fn uncontended_fused_configs_agree(
         seq_mult in 1u64..=32,
+        batch in prop::sample::select(vec![8u64, 32, 64]),
         g in granularity_strategy(),
         platform_edge in any::<bool>(),
         buffers in 2u32..=4,
     ) {
         let accel = if platform_edge { Accelerator::edge() } else { Accelerator::cloud() };
         let seq = seq_mult * 256;
-        let block = Model::bert().block(64, seq);
-        let la = LaExecution::Fused(FusedDataflow::new(g));
-        let a = agreement(&accel, &block, &la, quick(ModelOptions::default(), buffers))
-            .expect("wiring is sound");
+        let block = Model::bert().block(batch, seq);
+        let df = FusedDataflow::new(g);
+        let opts = quick(ModelOptions::default(), buffers);
+        let a = agreement(&accel, &block, &LaExecution::Fused(df), opts).expect("wiring is sound");
         prop_assert!(
             a.within(TOLERANCE),
-            "{} seq={seq} {g:?} buffers={buffers}: divergence {:.3}%",
+            "{} seq={seq} B={batch} {g:?} buffers={buffers}: divergence {:.3}%",
             accel.name, a.divergence * 100.0
+        );
+        let ideal = CostModel::new(&accel).fused_la_cost(&block, &df).ideal_cycles;
+        prop_assert!(
+            a.event_cycles >= ideal * (1.0 - 1e-9),
+            "event {} below ideal {ideal}",
+            a.event_cycles
         );
     }
 
@@ -84,21 +94,28 @@ proptest! {
         );
     }
 
-    /// The sequential baseline agrees within tolerance too.
+    /// The sequential baseline agrees within tolerance too, and the
+    /// event backend ranks it behind FLAT-R64 as the closed form does.
     #[test]
-    fn sequential_baseline_agrees(seq_mult in 1u64..=16) {
+    fn sequential_baseline_agrees(
+        seq_mult in 1u64..=16,
+        batch in prop::sample::select(vec![8u64, 32, 64]),
+    ) {
         let accel = Accelerator::edge();
         let seq = seq_mult * 256;
-        let block = Model::bert().block(64, seq);
+        let block = Model::bert().block(batch, seq);
         let op = OperatorDataflow::baseline(Stationarity::Weight);
         let la = LaExecution::Sequential { logit: op, attend: op };
-        let a = agreement(&accel, &block, &la, quick(ModelOptions::default(), 2))
-            .expect("wiring is sound");
+        let opts = quick(ModelOptions::default(), 2);
+        let a = agreement(&accel, &block, &la, opts).expect("wiring is sound");
         prop_assert!(
             a.within(TOLERANCE),
-            "seq={seq}: divergence {:.3}%",
+            "seq={seq} B={batch}: divergence {:.3}%",
             a.divergence * 100.0
         );
+        let flat_r64 = FusedDataflow::new(Granularity::Row(64));
+        let fused = simulate_fused_event(&accel, &block, &flat_r64, opts).expect("wiring is sound");
+        prop_assert!(a.event_cycles > fused.cycles, "seq={seq} B={batch}: base does not lose");
     }
 }
 
@@ -127,8 +144,14 @@ fn contended_fixture_is_detected_as_divergence() {
 #[test]
 fn cli_validation_sweep_is_green() {
     let accel = Accelerator::edge();
-    let rows =
-        agreement_sweep(&accel, &[512, 1024], EventOptions::default()).expect("wiring is sound");
+    let rows = agreement_sweep(
+        &accel,
+        &Model::bert(),
+        64,
+        &[512, 1024],
+        EventOptions::default(),
+    )
+    .expect("wiring is sound");
     assert_eq!(rows.len(), 8);
     for row in &rows {
         assert!(

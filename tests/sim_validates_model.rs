@@ -1,12 +1,12 @@
-//! Cross-validation: the discrete-event simulator and the analytical cost
-//! model must agree on runtimes across the operating range — the
+//! Cross-validation: the `flat-desim` event backend and the analytical
+//! cost model must agree on runtimes across the operating range — the
 //! repository's answer to "why trust the closed-form numbers?".
 
 use flat::arch::Accelerator;
 use flat::core::{
     CostModel, FusedDataflow, Granularity, ModelOptions, OperatorDataflow, Stationarity,
 };
-use flat::sim::{simulate_fused, simulate_sequential, SimOptions};
+use flat::desim::{simulate_fused_event, simulate_sequential_event, EventOptions};
 use flat::workloads::Model;
 
 fn agreement(analytical: f64, simulated: f64) -> f64 {
@@ -26,7 +26,9 @@ fn fused_agreement_compute_bound() {
         let block = model.block(64, seq);
         let df = FusedDataflow::new(Granularity::Row(r));
         let analytical = CostModel::new(&accel).fused_la_cost(&block, &df).cycles;
-        let simulated = simulate_fused(&accel, &block, &df, SimOptions::default()).cycles;
+        let simulated = simulate_fused_event(&accel, &block, &df, EventOptions::default())
+            .expect("wiring is sound")
+            .cycles;
         let ratio = agreement(analytical, simulated);
         assert!(
             (0.85..=1.15).contains(&ratio),
@@ -37,8 +39,9 @@ fn fused_agreement_compute_bound() {
     }
 }
 
-/// Sequential baseline, memory-bound regime: agreement within ~30% (the
-/// simulator resolves per-slice contention the closed form averages out).
+/// Sequential baseline, memory-bound regime: a wider band, since the
+/// closed form folds each phase whole while the event backend pipelines
+/// it in slices.
 #[test]
 fn sequential_agreement_memory_bound() {
     for (accel, model, seq) in [
@@ -48,17 +51,20 @@ fn sequential_agreement_memory_bound() {
     ] {
         let block = model.block(64, seq);
         let df = OperatorDataflow::baseline(Stationarity::Weight);
-        // Compare against the serial-softmax analytical baseline — the
-        // simulator's strict three-phase structure.
-        let cm = CostModel::with_options(
-            &accel,
-            ModelOptions {
+        // Both sides run the softmax as a strict serial phase.
+        let opts = EventOptions {
+            model: ModelOptions {
                 overlap_softmax: false,
                 ..Default::default()
             },
-        );
-        let analytical = cm.sequential_la_cost(&block, &df, &df).cycles;
-        let simulated = simulate_sequential(&accel, &block, SimOptions::default()).cycles;
+            ..Default::default()
+        };
+        let analytical = CostModel::with_options(&accel, opts.model)
+            .sequential_la_cost(&block, &df, &df)
+            .cycles;
+        let simulated = simulate_sequential_event(&accel, &block, &df, &df, opts)
+            .expect("wiring is sound")
+            .cycles;
         let ratio = agreement(analytical, simulated);
         assert!(
             (0.6..=1.6).contains(&ratio),
@@ -82,8 +88,13 @@ fn both_models_agree_on_the_winner() {
     let speedup_analytical = cm.sequential_la_cost(&block, &base_df, &base_df).cycles
         / cm.fused_la_cost(&block, &df).cycles;
 
-    let sim_base = simulate_sequential(&accel, &block, SimOptions::default()).cycles;
-    let sim_fused = simulate_fused(&accel, &block, &df, SimOptions::default()).cycles;
+    let sim_base =
+        simulate_sequential_event(&accel, &block, &base_df, &base_df, EventOptions::default())
+            .expect("wiring is sound")
+            .cycles;
+    let sim_fused = simulate_fused_event(&accel, &block, &df, EventOptions::default())
+        .expect("wiring is sound")
+        .cycles;
     let speedup_simulated = sim_base / sim_fused;
 
     assert!(speedup_analytical > 2.0);
