@@ -7,6 +7,7 @@ use flat_dist::{
     best_joint, scaling_knee, series, CollectiveAlgo, Link, Partition, Sweep, Topology,
 };
 use flat_dse::{Dse, SpaceKind};
+use flat_telemetry::{NoopSink, TraceSink};
 use flat_workloads::{Model, Scope};
 use serde_json::json;
 
@@ -45,7 +46,11 @@ USAGE:
              [--topology ring|mesh|torus|fc|tree|all] [--partition head|seq|kv|all]
              [--algo ring|hd|bucket|all] [--overlap] [--link-gbps N] [--link-us N]
              [--seed N] [--json]
-             [--requests N --trace FILE ...]   # serve a request stream on the cluster instead
+             [--requests N [serve's workload and engine flags] [--trace FILE]]
+             # --requests serves a request stream on the cluster instead; it takes
+             # --arrival-rate, --task, --prompt, --output, --slo-ms, --block-tokens,
+             # --kv-mib, --chunk, --max-batch, --chaos, --dedup, --window-ms,
+             # --precision, --softmax exactly as `flat serve` does
   flat insight attr TRACE.json [--json] [--metrics FILE]
              # critical-path attribution: decompose per-request latency into
              # queued/prefill/recompute/decode/collective-exposed/other phases
@@ -74,26 +79,24 @@ COMMON OPTIONS:
   --precision P       numeric-plane storage width for serve: fp32 (default),
                       bf16, fp16, or int8";
 
-/// The streaming sink behind `--trace FILE`.
-type FileSink = flat_telemetry::JsonStreamSink<std::io::BufWriter<std::fs::File>>;
-
-/// Opens the `--trace FILE` sink when the flag is present.
-fn open_trace(args: &Args) -> Result<Option<(String, FileSink)>, String> {
+/// Hands `run` the `--trace FILE` sink (a streaming Chrome-trace
+/// writer) when the flag is present and a [`NoopSink`] otherwise; on
+/// success closes the file and tells the user where the trace went.
+fn traced<T, E: ToString>(
+    args: &Args,
+    run: impl FnOnce(&mut dyn TraceSink) -> Result<T, E>,
+) -> Result<T, String> {
     let path = args.get("trace", "");
     if path.is_empty() {
-        return Ok(None);
+        return run(&mut NoopSink).map_err(|e| e.to_string());
     }
     let file = std::fs::File::create(&path).map_err(|e| format!("{path}: {e}"))?;
-    let sink = flat_telemetry::JsonStreamSink::new(std::io::BufWriter::new(file))
+    let mut sink = flat_telemetry::JsonStreamSink::new(std::io::BufWriter::new(file))
         .map_err(|e| format!("{path}: {e}"))?;
-    Ok(Some((path, sink)))
-}
-
-/// Closes a `--trace` sink and tells the user where the trace went.
-fn close_trace(path: &str, sink: FileSink) -> Result<(), String> {
+    let out = run(&mut sink).map_err(|e| e.to_string())?;
     sink.finish().map_err(|e| format!("{path}: {e}"))?;
     eprintln!("wrote Chrome trace to {path} (open in https://ui.perfetto.dev)");
-    Ok(())
+    Ok(out)
 }
 
 /// `flat run` — execute a JSON experiment config: a list of jobs, each
@@ -296,14 +299,9 @@ pub fn dse(args: &Args) -> Result<(), String> {
         }
     };
     let dse = Dse::new(&setup.accel, &setup.block);
-    let best = match open_trace(args)? {
-        None => dse.best_la(space, objective),
-        Some((path, mut sink)) => {
-            let best = dse.best_la_traced(space, objective, &mut sink);
-            close_trace(&path, sink)?;
-            best
-        }
-    };
+    let best = traced(args, |sink| {
+        Ok::<_, String>(dse.best_la_traced(space, objective, sink))
+    })?;
     let (others, _) = dse.best_others(objective);
     if args.flag("json") {
         let mut v = report_json(&best.report, &la_label(&best.la), Scope::LogitAttend);
@@ -813,57 +811,16 @@ fn sim_both(
 /// unwinding through the CLI.
 pub fn serve(args: &Args) -> Result<(), String> {
     let setup = parse::setup(args)?;
-    let requests = parse::u64_arg(args, "requests", 256)? as usize;
-    let rate: f64 = args
-        .get("arrival-rate", "64")
-        .parse()
-        .map_err(|_| "--arrival-rate expects a number (requests/s)".to_owned())?;
-    if !(rate > 0.0 && rate.is_finite()) {
-        return Err("--arrival-rate must be positive".to_owned());
-    }
     let seed = parse::u64_arg(args, "seed", 0xF1A7)?;
-    let task = flat_serve::task_by_name(&args.get("task", "short-nlp"))?;
-    let mut spec = flat_serve::WorkloadSpec::from_task(task, requests, rate);
-    if let Some(prompt) = parse::opt_u64_arg(args, "prompt")? {
-        spec.prompt_mean = prompt as usize;
-    }
-    if let Some(output) = parse::opt_u64_arg(args, "output")? {
-        spec.output_mean = output as usize;
-    }
-    spec.slo_ms = parse::opt_f64_arg(args, "slo-ms")?;
-    let mut cfg = flat_serve::EngineConfig::for_platform(&setup.accel, &setup.model, seed);
-    cfg.block_tokens = parse::u64_arg(args, "block-tokens", cfg.block_tokens as u64)? as usize;
-    cfg.prefill_chunk = parse::u64_arg(args, "chunk", cfg.prefill_chunk as u64)? as usize;
-    cfg.max_batch = parse::u64_arg(args, "max-batch", cfg.max_batch as u64)? as usize;
-    if let Some(mib) = parse::opt_u64_arg(args, "kv-mib")? {
-        cfg.kv_budget = flat_tensor::Bytes::from_mib(mib);
-    }
-    cfg.precision = parse::precision(args)?;
-    cfg.softmax = parse::softmax_kind(args)?;
-    cfg.dedup = args.flag("dedup");
-    cfg.window_ms = parse::opt_f64_arg(args, "window-ms")?;
-    let faults = parse::opt_u64_arg(args, "chaos")?.map(flat_serve::FaultPlan::chaos);
-    let mut workload = spec.generate(seed).map_err(|e| e.to_string())?;
-    if let Some(plan) = &faults {
-        plan.corrupt_workload(&mut workload);
-    }
-    let metrics = match open_trace(args)? {
-        None => flat_serve::serve_with_faults(&setup.accel, &setup.model, &workload, &cfg, faults)
-            .map_err(|e| e.to_string())?,
-        Some((path, mut sink)) => {
-            let metrics = flat_serve::serve_with_faults_traced(
-                &setup.accel,
-                &setup.model,
-                &workload,
-                &cfg,
-                faults,
-                &mut sink,
-            )
-            .map_err(|e| e.to_string())?;
-            close_trace(&path, sink)?;
-            metrics
-        }
-    };
+    let parse::Serving {
+        spec,
+        task,
+        workload,
+        cfg,
+    } = parse::serving(args, &setup, seed)?;
+    let metrics = traced(args, |sink| {
+        flat_serve::serve_traced(&setup.accel, &setup.model, &workload, &cfg, sink)
+    })?;
     let metrics_path = args.get("metrics", "");
     if !metrics_path.is_empty() {
         std::fs::write(&metrics_path, metrics.registry().prometheus())
@@ -879,8 +836,8 @@ pub fn serve(args: &Args) -> Result<(), String> {
             setup.model, metrics.kv.bytes_per_token
         );
         println!(
-            "workload:    {requests} requests, {rate} req/s, task {task}, prompt≈{}, output≈{}",
-            spec.prompt_mean, spec.output_mean
+            "workload:    {} requests, {} req/s, task {task}, prompt≈{}, output≈{}",
+            spec.requests, spec.arrival_rate_per_s, spec.prompt_mean, spec.output_mean
         );
         println!();
         println!(
@@ -981,23 +938,9 @@ pub fn fleet(args: &Args) -> Result<(), String> {
         scale: scale_arg(args)?,
         chaos_seed: parse::opt_u64_arg(args, "chaos")?,
     };
-    let m = match open_trace(args)? {
-        None => flat_fleet::run_fleet(&setup.accel, &setup.model, &spec, &cfg, seed)
-            .map_err(|e| e.to_string())?,
-        Some((path, mut sink)) => {
-            let m = flat_fleet::run_fleet_traced(
-                &setup.accel,
-                &setup.model,
-                &spec,
-                &cfg,
-                seed,
-                &mut sink,
-            )
-            .map_err(|e| e.to_string())?;
-            close_trace(&path, sink)?;
-            m
-        }
-    };
+    let m = traced(args, |sink| {
+        flat_fleet::run_fleet_traced(&setup.accel, &setup.model, &spec, &cfg, seed, sink)
+    })?;
     if args.flag("json") {
         println!("{}", m.to_json());
         return Ok(());
@@ -1426,18 +1369,9 @@ pub fn dist(args: &Args) -> Result<(), String> {
     let topologies = topologies_arg(args)?;
     let link = link_arg(args, &setup.accel.name)?;
     let seed = parse::u64_arg(args, "seed", 0xF1A7)?;
-    if let Some(requests) = parse::opt_u64_arg(args, "requests")? {
+    if parse::opt_u64_arg(args, "requests")?.is_some() {
         let partitions = partitions_arg(args, "kv")?;
-        return dist_serve(
-            args,
-            &setup,
-            requests as usize,
-            &chips,
-            &topologies,
-            &partitions,
-            link,
-            seed,
-        );
+        return dist_serve(args, &setup, &chips, &topologies, &partitions, link, seed);
     }
     if !args.get("trace", "").is_empty() {
         return Err("--trace applies to serving mode: add --requests N".to_owned());
@@ -1541,12 +1475,11 @@ pub fn dist(args: &Args) -> Result<(), String> {
 }
 
 /// The `--requests` branch of `flat dist`: run the serving engine on
-/// clusters of each requested size.
-#[allow(clippy::too_many_arguments)]
+/// clusters of each requested size, with the workload and engine flags
+/// `flat serve` takes.
 fn dist_serve(
     args: &Args,
     setup: &parse::Setup,
-    requests: usize,
     chips: &[usize],
     topologies: &[Topology],
     partitions: &[Partition],
@@ -1570,60 +1503,39 @@ fn dist_serve(
         return Err("serving mode takes a single --algo (not a list/all)".to_owned());
     }
     let overlap = args.flag("overlap");
-    let rate: f64 = args
-        .get("arrival-rate", "64")
-        .parse()
-        .map_err(|_| "--arrival-rate expects a number (requests/s)".to_owned())?;
-    if !(rate > 0.0 && rate.is_finite()) {
-        return Err("--arrival-rate must be positive".to_owned());
-    }
-    let task = flat_serve::task_by_name(&args.get("task", "short-nlp"))?;
-    let mut spec = flat_serve::WorkloadSpec::from_task(task, requests, rate);
-    if let Some(prompt) = parse::opt_u64_arg(args, "prompt")? {
-        spec.prompt_mean = prompt as usize;
-    }
-    if let Some(output) = parse::opt_u64_arg(args, "output")? {
-        spec.output_mean = output as usize;
-    }
-    let mut cfg = flat_serve::EngineConfig::for_platform(&setup.accel, &setup.model, seed);
-    if let Some(mib) = parse::opt_u64_arg(args, "kv-mib")? {
-        cfg.kv_budget = flat_tensor::Bytes::from_mib(mib);
-    }
-    let workload = spec.generate(seed).map_err(|e| e.to_string())?;
-    let mut trace = open_trace(args)?;
-    if trace.is_some() && chips.len() > 1 {
+    let parse::Serving {
+        spec,
+        workload,
+        cfg,
+        ..
+    } = parse::serving(args, setup, seed)?;
+    if !args.get("trace", "").is_empty() && chips.len() > 1 {
         return Err("--trace records one cluster: pass a single --chips value".to_owned());
     }
-
-    let mut runs = Vec::new();
-    for &p in chips {
-        let dcfg = flat_serve::DistServeConfig {
-            chips: p,
-            topology,
-            link,
-            partition,
-            algo,
-            overlap,
-        };
-        let metrics = match trace.take() {
-            None => flat_serve::serve_dist(&setup.accel, &setup.model, &workload, &cfg, &dcfg)
-                .map_err(|e| e.to_string())?,
-            Some((path, mut sink)) => {
-                let metrics = flat_serve::serve_dist_traced(
+    let runs = traced(args, |sink| {
+        chips
+            .iter()
+            .map(|&p| {
+                let dcfg = flat_serve::DistServeConfig {
+                    chips: p,
+                    topology,
+                    link,
+                    partition,
+                    algo,
+                    overlap,
+                };
+                flat_serve::serve_dist(
                     &setup.accel,
                     &setup.model,
                     &workload,
                     &cfg,
                     &dcfg,
-                    &mut sink,
+                    &flat_serve::ScalePlan::default(),
+                    sink,
                 )
-                .map_err(|e| e.to_string())?;
-                close_trace(&path, sink)?;
-                metrics
-            }
-        };
-        runs.push(metrics);
-    }
+            })
+            .collect::<Result<Vec<_>, _>>()
+    })?;
 
     if args.flag("json") {
         let v = json!({
@@ -1643,8 +1555,10 @@ fn dist_serve(
     } else {
         println!("accelerator: {}", setup.accel);
         println!(
-            "cluster:     {topology} [{algo}{}] × {partition}, link {link}, {requests} requests at {rate} req/s",
-            if overlap { ", overlapped" } else { "" }
+            "cluster:     {topology} [{algo}{}] × {partition}, link {link}, {} requests at {} req/s",
+            if overlap { ", overlapped" } else { "" },
+            spec.requests,
+            spec.arrival_rate_per_s
         );
         println!();
         for m in &runs {

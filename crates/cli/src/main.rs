@@ -13,9 +13,10 @@
 //!            [--trace FILE] [--metrics FILE] [--json]
 //! flat fleet --platform cloud --model bert --requests 512 [--chips N] [--scale MS:CHIPS,...]
 //!            [--no-dedup] [--chaos SEED] [--json]   # sustained multi-tenant fleet load
-
 //! flat dist  --platform cloud --model bert --seq 65536 [--chips 1,2,4,8] [--topology all] [--partition head] [--json]
-//!            [--requests N --trace FILE]   # serve on the cluster, tracing collectives
+//!            [--requests N [--trace FILE]]   # serve on the cluster, tracing collectives, with
+//!            # serve's --arrival-rate --task --prompt --output --slo-ms --block-tokens --kv-mib
+//!            # --chunk --max-batch --chaos --dedup --window-ms --precision --softmax
 //! flat insight attr TRACE.json [--json] [--metrics FILE]   # critical-path attribution
 //! flat insight diff A.json B.json [--json]                 # differential run analysis
 //! flat insight bench [--dir DIR] [--current FILE] [--check] [--json]

@@ -37,6 +37,64 @@ pub fn setup(args: &Args) -> Result<Setup, String> {
     })
 }
 
+/// A resolved serving run: the workload spec and task it was drawn
+/// from, the generated request stream (already corrupted when `--chaos`
+/// is set), and the engine knobs, fault plan included.
+pub struct Serving {
+    pub spec: flat_serve::WorkloadSpec,
+    pub task: flat_workloads::Task,
+    pub workload: Vec<flat_serve::RequestSpec>,
+    pub cfg: flat_serve::EngineConfig,
+}
+
+/// Resolves the workload and engine flags `serve` and `dist --requests`
+/// share: `--requests`, `--arrival-rate`, `--task`, `--prompt`,
+/// `--output`, `--slo-ms`, `--block-tokens`, `--chunk`, `--max-batch`,
+/// `--kv-mib`, `--precision`, `--softmax`, `--dedup`, `--window-ms`, and
+/// `--chaos SEED`, which arms [`flat_serve::FaultPlan::chaos`] in the
+/// engine config and corrupts the generated workload with it.
+pub fn serving(args: &Args, setup: &Setup, seed: u64) -> Result<Serving, String> {
+    let requests = u64_arg(args, "requests", 256)? as usize;
+    let rate: f64 = args
+        .get("arrival-rate", "64")
+        .parse()
+        .map_err(|_| "--arrival-rate expects a number (requests/s)".to_owned())?;
+    if !(rate > 0.0 && rate.is_finite()) {
+        return Err("--arrival-rate must be positive".to_owned());
+    }
+    let task = flat_serve::task_by_name(&args.get("task", "short-nlp"))?;
+    let mut spec = flat_serve::WorkloadSpec::from_task(task, requests, rate);
+    if let Some(prompt) = opt_u64_arg(args, "prompt")? {
+        spec.prompt_mean = prompt as usize;
+    }
+    if let Some(output) = opt_u64_arg(args, "output")? {
+        spec.output_mean = output as usize;
+    }
+    spec.slo_ms = opt_f64_arg(args, "slo-ms")?;
+    let mut cfg = flat_serve::EngineConfig::for_platform(&setup.accel, &setup.model, seed);
+    cfg.block_tokens = u64_arg(args, "block-tokens", cfg.block_tokens as u64)? as usize;
+    cfg.prefill_chunk = u64_arg(args, "chunk", cfg.prefill_chunk as u64)? as usize;
+    cfg.max_batch = u64_arg(args, "max-batch", cfg.max_batch as u64)? as usize;
+    if let Some(mib) = opt_u64_arg(args, "kv-mib")? {
+        cfg.kv_budget = Bytes::from_mib(mib);
+    }
+    cfg.precision = precision(args)?;
+    cfg.softmax = softmax_kind(args)?;
+    cfg.dedup = args.flag("dedup");
+    cfg.window_ms = opt_f64_arg(args, "window-ms")?;
+    cfg.faults = opt_u64_arg(args, "chaos")?.map(flat_serve::FaultPlan::chaos);
+    let mut workload = spec.generate(seed).map_err(|e| e.to_string())?;
+    if let Some(plan) = &cfg.faults {
+        plan.corrupt_workload(&mut workload);
+    }
+    Ok(Serving {
+        spec,
+        task,
+        workload,
+        cfg,
+    })
+}
+
 /// Integer value of `--key` with a one-line diagnostic instead of the
 /// panic `Args::get_u64` carries — CLI input must never unwind.
 pub fn u64_arg(args: &Args, key: &str, default: u64) -> Result<u64, String> {

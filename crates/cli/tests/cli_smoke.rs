@@ -177,6 +177,42 @@ fn dist_serve_mode_runs_and_reports_fabric_time() {
     );
 }
 
+/// `dist --requests` reads the same workload and engine flags as
+/// `serve`: a one-chip fully-connected cluster under `--max-batch`,
+/// `--precision`, and `--chaos` reproduces the single-chip run exactly.
+#[test]
+fn dist_serve_mode_honours_serve_engine_flags() {
+    let engine = [
+        "--requests",
+        "16",
+        "--seed",
+        "3",
+        "--max-batch",
+        "2",
+        "--precision",
+        "bf16",
+        "--chaos",
+        "5",
+        "--json",
+    ];
+    let mut dist_args = vec!["dist", "--chips", "1", "--topology", "fully-connected"];
+    dist_args.extend(engine);
+    let mut serve_args = vec!["serve"];
+    serve_args.extend(engine);
+    let (dist, serve) = (flat(&dist_args), flat(&serve_args));
+    assert!(dist.status.success(), "stderr: {}", stderr(&dist));
+    assert!(serve.status.success(), "stderr: {}", stderr(&serve));
+    let dist: serde_json::Value =
+        serde_json::from_str(&String::from_utf8_lossy(&dist.stdout)).expect("dist JSON");
+    let serve: serde_json::Value =
+        serde_json::from_str(&String::from_utf8_lossy(&serve.stdout)).expect("serve JSON");
+    let runs = dist["runs"].as_array().expect("runs array");
+    assert_eq!(
+        runs[0]["serve"], serve,
+        "one-chip cluster must match plain serve under the same engine flags"
+    );
+}
+
 #[test]
 fn bad_dist_flags_are_diagnostics() {
     for args in [

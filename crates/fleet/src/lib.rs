@@ -66,7 +66,7 @@ use flat_arch::Accelerator;
 use flat_dist::Topology;
 use flat_insight::InsightFinding;
 use flat_serve::{
-    merge_streams, serve_dist_elastic, DistServeConfig, DistServeMetrics, EngineConfig, FaultPlan,
+    merge_streams, serve_dist, DistServeConfig, DistServeMetrics, EngineConfig, FaultPlan,
     RequestSpec, ScalePlan, ServeError,
 };
 use flat_telemetry::{NoopSink, TraceSink};
@@ -446,17 +446,16 @@ pub fn run_fleet_traced(
         ));
     }
     let mut workload = spec.generate(seed)?;
-    let faults = cfg.chaos_seed.map(FaultPlan::chaos);
-    if let Some(plan) = &faults {
-        plan.corrupt_workload(&mut workload);
-    }
     let mut ecfg = EngineConfig::for_platform(accel, model, seed);
     ecfg.dedup = cfg.dedup;
     ecfg.window_ms = Some(cfg.window_ms);
+    ecfg.faults = cfg.chaos_seed.map(FaultPlan::chaos);
+    if let Some(plan) = &ecfg.faults {
+        plan.corrupt_workload(&mut workload);
+    }
     let dist = DistServeConfig::new(cfg.chips, cfg.topology);
     let plan = ScalePlan::new(&cfg.scale);
-    let dist_metrics =
-        serve_dist_elastic(accel, model, &workload, &ecfg, &dist, &plan, faults, sink)?;
+    let dist_metrics = serve_dist(accel, model, &workload, &ecfg, &dist, &plan, sink)?;
     let virtual_hours = if dist_metrics.serve.makespan_ms.is_finite() {
         dist_metrics.serve.makespan_ms / 3.6e6
     } else {

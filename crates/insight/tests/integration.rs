@@ -14,7 +14,7 @@
 use flat_arch::Accelerator;
 use flat_insight::{Attribution, DiffReport};
 use flat_serve::{
-    serve_dist_traced, serve_traced, DistServeConfig, EngineConfig, RequestSpec, WorkloadSpec,
+    serve_dist, serve_traced, DistServeConfig, EngineConfig, RequestSpec, ScalePlan, WorkloadSpec,
 };
 use flat_telemetry::MemorySink;
 use flat_workloads::{Model, Task};
@@ -44,7 +44,16 @@ fn traced_dist_run(seed: u64, overlap: bool) -> MemorySink {
     let mut dist = DistServeConfig::new(4, flat_dist::Topology::Ring);
     dist.overlap = overlap;
     let mut sink = MemorySink::new();
-    serve_dist_traced(&accel, &model, &wl, &cfg, &dist, &mut sink).expect("run terminates");
+    serve_dist(
+        &accel,
+        &model,
+        &wl,
+        &cfg,
+        &dist,
+        &ScalePlan::default(),
+        &mut sink,
+    )
+    .expect("run terminates");
     sink
 }
 

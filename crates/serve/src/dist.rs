@@ -25,9 +25,8 @@
 //! are 1, so the metrics JSON matches [`crate::serve`] field for field —
 //! a test pins this.
 
-use crate::engine::{run_dist_engine, EngineConfig};
+use crate::engine::{Engine, EngineConfig};
 use crate::error::ServeError;
-use crate::faults::FaultPlan;
 use crate::metrics::ServeMetrics;
 use crate::request::RequestSpec;
 use flat_arch::Accelerator;
@@ -35,6 +34,7 @@ use flat_dist::{CollectiveAlgo, Fabric, Link, Partition, Topology};
 use flat_telemetry::TraceSink;
 use flat_workloads::{AttentionConfig, Model};
 use serde::Serialize;
+use std::collections::VecDeque;
 
 /// Cluster knobs for [`serve_dist`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,7 +83,7 @@ pub struct ScaleEvent {
     pub chips: usize,
 }
 
-/// A schedule of elastic resizes for [`serve_dist_elastic`]. Events are
+/// A schedule of elastic resizes for [`serve_dist`]. Events are
 /// applied in `at_ms` order; an empty plan is a fixed-size cluster.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScalePlan {
@@ -158,11 +158,13 @@ pub struct ScaleEventRecord {
     pub preempted: u64,
 }
 
-/// Per-tick collective pricing, precomputed from the model's dimensions.
+/// Per-tick collective pricing, precomputed from the model's dimensions,
+/// plus the cluster's pending elastic resizes.
 ///
 /// Built by [`serve_dist`], consumed inside the engine loop: each tick
 /// reports its scheduled token count and gets back the fabric seconds to
-/// add to the virtual clock.
+/// add to the virtual clock, and applies every resize whose time has
+/// come.
 #[derive(Debug, Clone)]
 pub struct DistPlane {
     fabric: Fabric,
@@ -177,6 +179,8 @@ pub struct DistPlane {
     cfg: DistServeConfig,
     /// The one-token layer shape the per-token calls derive from.
     token_cfg: AttentionConfig,
+    /// Pending elastic resizes, `at_ms`-sorted.
+    scale_plan: VecDeque<ScaleEvent>,
     /// Running totals, accumulated tick by tick.
     pub(crate) fabric_busy_ms: f64,
     /// Collective milliseconds the compute could *not* hide: equal to
@@ -191,7 +195,7 @@ pub struct DistPlane {
 }
 
 impl DistPlane {
-    pub(crate) fn new(model: &Model, cfg: &DistServeConfig) -> Self {
+    pub(crate) fn new(model: &Model, cfg: &DistServeConfig, plan: &ScalePlan) -> Self {
         let fabric = Fabric::new(cfg.chips, cfg.topology, cfg.link).with_algo(cfg.algo);
         // A one-token decode-shaped layer: the per-token exchange the
         // partition forces, independent of batch (batch scales bytes).
@@ -210,6 +214,7 @@ impl DistPlane {
             overlap: cfg.overlap,
             cfg: *cfg,
             token_cfg,
+            scale_plan: plan.sorted().into(),
             fabric_busy_ms: 0.0,
             exposed_ms: 0.0,
             payload_bytes: 0.0,
@@ -220,6 +225,15 @@ impl DistPlane {
 
     pub(crate) fn chips(&self) -> usize {
         self.fabric.chips
+    }
+
+    /// Pops the next resize due at or before `now_ms`, if any.
+    pub(crate) fn next_scale_event(&mut self, now_ms: f64) -> Option<ScaleEvent> {
+        if self.scale_plan.front()?.at_ms <= now_ms {
+            self.scale_plan.pop_front()
+        } else {
+            None
+        }
     }
 
     /// Rebuilds the fabric and the partition's per-token collective calls
@@ -436,102 +450,34 @@ fn safe_fraction(num_ms: f64, den_ms: f64) -> f64 {
 }
 
 /// Runs a request stream on a cluster and reports engine + fabric
-/// metrics. `chips = 1` reproduces [`crate::serve`] exactly.
+/// metrics. `chips = 1` with an empty `plan` reproduces [`crate::serve`]
+/// exactly, faults included.
+///
+/// `dist.chips` is the starting size. Each event of the elastic `plan`
+/// resizes the cluster mid-run: it re-stripes the resident KV over the
+/// fabric (priced point-to-point and reported per event), rebuilds the
+/// fabric, rescales the modeled compute/bandwidth, and grows or shrinks
+/// the pooled KV capacity (evicting by priority when the resident set no
+/// longer fits). An empty plan is a fixed-size cluster. `cfg.faults`
+/// injects the same seeded faults as on one chip, and the `sink` records
+/// everything the single-chip trace carries plus one process lane per
+/// chip with the tick's collective slices (operation, payload bytes,
+/// link energy) — on the same deterministic virtual clock, so fixed
+/// seeds yield byte-identical traces. Pass a [`flat_telemetry::NoopSink`]
+/// for an untraced run.
 ///
 /// # Errors
 ///
 /// Everything [`crate::serve`] returns, plus
-/// [`ServeError::InvalidConfig`] for a zero-chip cluster.
+/// [`ServeError::InvalidConfig`] for a zero-chip cluster or a malformed
+/// plan (non-finite time or zero-chip target).
 pub fn serve_dist(
     accel: &Accelerator,
     model: &Model,
     workload: &[RequestSpec],
     cfg: &EngineConfig,
     dist: &DistServeConfig,
-) -> Result<DistServeMetrics, ServeError> {
-    let mut sink = flat_telemetry::NoopSink;
-    serve_dist_traced(accel, model, workload, cfg, dist, &mut sink)
-}
-
-/// [`serve_dist`], recording the run into a [`TraceSink`]: everything
-/// the single-chip trace carries, plus one process lane per chip with
-/// the tick's collective slices (operation, payload bytes, link energy)
-/// on its fabric thread — stamped on the same deterministic virtual
-/// clock, so fixed seeds yield byte-identical traces.
-///
-/// # Errors
-///
-/// As [`serve_dist`].
-pub fn serve_dist_traced(
-    accel: &Accelerator,
-    model: &Model,
-    workload: &[RequestSpec],
-    cfg: &EngineConfig,
-    dist: &DistServeConfig,
-    sink: &mut dyn TraceSink,
-) -> Result<DistServeMetrics, ServeError> {
-    serve_dist_elastic(
-        accel,
-        model,
-        workload,
-        cfg,
-        dist,
-        &ScalePlan::default(),
-        None,
-        sink,
-    )
-}
-
-/// [`serve_dist`] with a seeded [`FaultPlan`] injecting mid-run failures —
-/// the cluster-scale chaos entry point. Conservation
-/// (`finished + dropped == offered`) holds exactly as it does for
-/// single-chip [`crate::serve_with_faults`]; the chaos suite pins it.
-///
-/// # Errors
-///
-/// As [`serve_dist`].
-pub fn serve_dist_with_faults(
-    accel: &Accelerator,
-    model: &Model,
-    workload: &[RequestSpec],
-    cfg: &EngineConfig,
-    dist: &DistServeConfig,
-    faults: Option<FaultPlan>,
-) -> Result<DistServeMetrics, ServeError> {
-    let mut sink = flat_telemetry::NoopSink;
-    serve_dist_elastic(
-        accel,
-        model,
-        workload,
-        cfg,
-        dist,
-        &ScalePlan::default(),
-        faults,
-        &mut sink,
-    )
-}
-
-/// The full-control cluster entry point: [`serve_dist`] plus an elastic
-/// [`ScalePlan`] (resize the cluster mid-run, with resident-KV migration
-/// priced point-to-point over the fabric and reported per event), an
-/// optional [`FaultPlan`], and a [`TraceSink`]. `dist.chips` is the
-/// starting size; each applied event rebuilds the fabric, rescales the
-/// modeled compute/bandwidth, and grows or shrinks the pooled KV capacity
-/// (evicting by priority when the resident set no longer fits).
-///
-/// # Errors
-///
-/// As [`serve_dist`], plus [`ServeError::InvalidConfig`] for a malformed
-/// plan (non-finite time or zero-chip target).
-#[allow(clippy::too_many_arguments)]
-pub fn serve_dist_elastic(
-    accel: &Accelerator,
-    model: &Model,
-    workload: &[RequestSpec],
-    cfg: &EngineConfig,
-    dist: &DistServeConfig,
     plan: &ScalePlan,
-    faults: Option<FaultPlan>,
     sink: &mut dyn TraceSink,
 ) -> Result<DistServeMetrics, ServeError> {
     if dist.chips == 0 {
@@ -540,17 +486,14 @@ pub fn serve_dist_elastic(
         ));
     }
     plan.validate()?;
-    let plane = DistPlane::new(model, dist);
-    let (serve, plane) = run_dist_engine(
-        accel,
-        model,
-        workload,
-        cfg,
-        plane,
-        faults,
-        &plan.sorted(),
-        sink,
-    )?;
+    let plane = DistPlane::new(model, dist, plan);
+    let (serve, Some(plane)) =
+        Engine::new(accel, model, workload, cfg, Some(plane), sink)?.run()?
+    else {
+        return Err(ServeError::Internal(
+            "distributed plane lost during the run",
+        ));
+    };
     let shard_capacity = (serve.kv.total_blocks / plane.chips().max(1)).max(1);
     let per_shard_kv_peak_occupancy = plane
         .per_shard_peak
@@ -580,7 +523,9 @@ pub fn serve_dist_elastic(
 mod tests {
     use super::*;
     use crate::engine::serve;
+    use crate::faults::FaultPlan;
     use crate::workload::WorkloadSpec;
+    use flat_telemetry::NoopSink;
     use flat_workloads::Task;
 
     fn workload(n: usize) -> Vec<RequestSpec> {
@@ -596,23 +541,29 @@ mod tests {
         c
     }
 
+    /// A fixed-size cluster run with no trace, as most tests want it.
+    fn run(
+        accel: &Accelerator,
+        model: &Model,
+        wl: &[RequestSpec],
+        c: &EngineConfig,
+        d: &DistServeConfig,
+    ) -> Result<DistServeMetrics, ServeError> {
+        serve_dist(accel, model, wl, c, d, &ScalePlan::default(), &mut NoopSink)
+    }
+
     /// The serving side of the acceptance criterion: one chip on a
-    /// fully-connected fabric is byte-identical to the plain engine.
+    /// fully-connected fabric is byte-identical to the plain engine,
+    /// fault-free and under seeded chaos.
     #[test]
     fn one_chip_cluster_reproduces_single_chip_serving() {
         let model = Model::by_name("bert").unwrap();
         let accel = Accelerator::edge();
+        let one_chip = DistServeConfig::new(1, Topology::FullyConnected);
         let wl = workload(12);
         let c = cfg(&accel, &model);
         let plain = serve(&accel, &model, &wl, &c).unwrap();
-        let dist = serve_dist(
-            &accel,
-            &model,
-            &wl,
-            &c,
-            &DistServeConfig::new(1, Topology::FullyConnected),
-        )
-        .unwrap();
+        let dist = run(&accel, &model, &wl, &c, &one_chip).unwrap();
         assert_eq!(
             dist.serve.to_json(),
             plain.to_json(),
@@ -622,6 +573,27 @@ mod tests {
         assert_eq!(dist.fabric_exposed_ms, 0.0);
         assert_eq!(dist.collective_payload_bytes, 0.0);
         assert_eq!(dist.per_shard_kv_peak_occupancy.len(), 1);
+
+        for seed in [3u64, 7, 11, 0x5EED] {
+            let plan = FaultPlan::chaos(seed);
+            let mut spec = WorkloadSpec::from_task(Task::ShortNlp, 32, 400.0);
+            spec.prompt_mean = 40;
+            spec.output_mean = 6;
+            spec.slo_ms = Some(50.0);
+            let mut wl = spec.generate(seed).unwrap();
+            plan.corrupt_workload(&mut wl);
+            let mut c = EngineConfig::for_platform(&accel, &model, seed);
+            c.kv_budget = flat_tensor::Bytes::from_mib(8);
+            c.faults = Some(plan);
+            let plain = serve(&accel, &model, &wl, &c).unwrap();
+            let dist = run(&accel, &model, &wl, &c, &one_chip).unwrap();
+            assert!(plain.dropped > 0, "seed {seed}: chaos must bite");
+            assert_eq!(
+                dist.serve.to_json(),
+                plain.to_json(),
+                "seed {seed}: faulted engine metrics must be identical"
+            );
+        }
     }
 
     /// Overlap pricing hides collective time behind compute: the fabric
@@ -638,8 +610,8 @@ mod tests {
         serial.algo = CollectiveAlgo::HalvingDoubling;
         let mut overlapped = serial;
         overlapped.overlap = true;
-        let s = serve_dist(&accel, &model, &wl, &c, &serial).unwrap();
-        let o = serve_dist(&accel, &model, &wl, &c, &overlapped).unwrap();
+        let s = run(&accel, &model, &wl, &c, &serial).unwrap();
+        let o = run(&accel, &model, &wl, &c, &overlapped).unwrap();
         assert_eq!(
             s.fabric_exposed_ms, s.fabric_busy_ms,
             "serial pricing exposes everything"
@@ -674,22 +646,9 @@ mod tests {
         let accel = Accelerator::edge();
         let wl = workload(16);
         let c = cfg(&accel, &model);
-        let one = serve_dist(
-            &accel,
-            &model,
-            &wl,
-            &c,
-            &DistServeConfig::new(1, Topology::Ring),
-        )
-        .unwrap();
-        let four = serve_dist(
-            &accel,
-            &model,
-            &wl,
-            &c,
-            &DistServeConfig::new(4, Topology::Ring),
-        )
-        .unwrap();
+        let ring = |chips| DistServeConfig::new(chips, Topology::Ring);
+        let one = run(&accel, &model, &wl, &c, &ring(1)).unwrap();
+        let four = run(&accel, &model, &wl, &c, &ring(4)).unwrap();
         assert_eq!(four.serve.kv.total_blocks, 4 * one.serve.kv.total_blocks);
         assert!(four.fabric_busy_ms > 0.0);
         assert!(four.fabric_fraction > 0.0 && four.fabric_fraction < 1.0);
@@ -705,7 +664,7 @@ mod tests {
         let model = Model::by_name("bert").unwrap();
         let accel = Accelerator::edge();
         let wl = workload(16);
-        let m = serve_dist(
+        let m = run(
             &accel,
             &model,
             &wl,
@@ -734,8 +693,8 @@ mod tests {
         let wl = workload(8);
         let c = cfg(&accel, &model);
         let d = DistServeConfig::new(2, Topology::Ring);
-        let a = serve_dist(&accel, &model, &wl, &c, &d).unwrap();
-        let b = serve_dist(&accel, &model, &wl, &c, &d).unwrap();
+        let a = run(&accel, &model, &wl, &c, &d).unwrap();
+        let b = run(&accel, &model, &wl, &c, &d).unwrap();
         assert_eq!(a.to_json(), b.to_json());
         assert!(a.to_json().contains("fabric_busy_ms"));
     }
@@ -746,7 +705,7 @@ mod tests {
         let accel = Accelerator::edge();
         let mut d = DistServeConfig::new(1, Topology::Ring);
         d.chips = 0;
-        let err = serve_dist(&accel, &model, &workload(2), &cfg(&accel, &model), &d).unwrap_err();
+        let err = run(&accel, &model, &workload(2), &cfg(&accel, &model), &d).unwrap_err();
         assert!(matches!(err, ServeError::InvalidConfig(_)));
     }
 }

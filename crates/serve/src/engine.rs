@@ -27,7 +27,7 @@
 //! surface as [`ServeError`]s; and a scheduler that stops making progress
 //! trips a tick cap into [`ServeError::Livelock`] instead of hanging.
 
-use crate::dist::{CollectiveSlice, DistPlane, ScaleEvent, ScaleEventRecord};
+use crate::dist::{CollectiveSlice, DistPlane, ScaleEventRecord};
 use crate::error::{DropReason, ServeError};
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::kv::{KvLayout, KvPool};
@@ -79,6 +79,11 @@ pub struct EngineConfig {
     /// the goodput/latency/occupancy trajectory sustained-load runs plot.
     /// `None` (the default) keeps the metrics schema unchanged.
     pub window_ms: Option<f64>,
+    /// Seeded fault injection (mid-run KV-pool shrinkage, NaN latency
+    /// stamps, clock skew) — the chaos-testing knob. `None` (the
+    /// default) leaves every fault hook a no-op. Spec corruption is the
+    /// caller's: apply [`FaultPlan::corrupt_workload`] to the workload.
+    pub faults: Option<FaultPlan>,
 }
 
 impl EngineConfig {
@@ -101,6 +106,7 @@ impl EngineConfig {
             softmax: SoftmaxKind::Exact,
             dedup: false,
             window_ms: None,
+            faults: None,
         }
     }
 
@@ -140,31 +146,34 @@ fn model_params(model: &Model) -> f64 {
 /// finishes, or is dropped with a typed [`DropReason`] (infeasible
 /// footprint, missed deadline, corrupt spec) — conservation is the
 /// engine's core invariant, asserted in the tests. The whole run is
-/// deterministic in (`workload`, `cfg.seed`).
+/// deterministic in (`workload`, `cfg.seed`, `cfg.faults`).
 ///
 /// # Errors
 ///
 /// [`ServeError::EmptyWorkload`] on an empty workload,
 /// [`ServeError::InvalidConfig`] on degenerate engine knobs, and
 /// [`ServeError::Livelock`] if the scheduler ever stops making progress
-/// (a bug guard — no well-formed input triggers it).
+/// (a bug guard — no well-formed input triggers it). Injected faults
+/// never produce an error by themselves: the engine sheds what they make
+/// unservable and reports it in the metrics' drop counters.
 pub fn serve(
     accel: &Accelerator,
     model: &Model,
     workload: &[RequestSpec],
     cfg: &EngineConfig,
 ) -> Result<ServeMetrics, ServeError> {
-    serve_with_faults(accel, model, workload, cfg, None)
+    serve_traced(accel, model, workload, cfg, &mut NoopSink)
 }
 
 /// [`serve`], recording the run into a [`TraceSink`]: per-request
 /// lifecycle spans (queued → prefill chunks → decode steps →
 /// finished/dropped/preempted) and per-tick KV/queue counter tracks, all
 /// stamped on the deterministic virtual clock — so for a fixed workload
-/// and seed the trace is byte-reproducible. With a
-/// [`NoopSink`] this is exactly [`serve`]: the sink is
-/// consulted before any event is built, and the metrics are untouched
-/// either way (a test diffs the JSON).
+/// and seed the trace is byte-reproducible, chaos included (injected
+/// clock skew lands in the trace exactly as it lands in the metrics).
+/// With a [`NoopSink`] this is exactly [`serve`]: the sink is consulted
+/// before any event is built, and the metrics are untouched either way
+/// (a test diffs the JSON).
 ///
 /// # Errors
 ///
@@ -176,85 +185,12 @@ pub fn serve_traced(
     cfg: &EngineConfig,
     sink: &mut dyn TraceSink,
 ) -> Result<ServeMetrics, ServeError> {
-    serve_with_faults_traced(accel, model, workload, cfg, None, sink)
+    Ok(Engine::new(accel, model, workload, cfg, None, sink)?
+        .run()?
+        .0)
 }
 
-/// [`serve_with_faults`] with a [`TraceSink`] attached — chaos runs are
-/// traceable too (fault-injected clock skew lands in the trace exactly
-/// as it lands in the metrics).
-///
-/// # Errors
-///
-/// As [`serve`].
-pub fn serve_with_faults_traced(
-    accel: &Accelerator,
-    model: &Model,
-    workload: &[RequestSpec],
-    cfg: &EngineConfig,
-    faults: Option<FaultPlan>,
-    sink: &mut dyn TraceSink,
-) -> Result<ServeMetrics, ServeError> {
-    Ok(
-        Engine::new(accel, model, workload, cfg, faults, None, &[], sink)?
-            .run()?
-            .0,
-    )
-}
-
-/// [`serve`], with a seeded [`FaultPlan`] injecting mid-run failures —
-/// the chaos-testing entry point. `faults: None` is exactly [`serve`].
-///
-/// # Errors
-///
-/// As [`serve`]. Injected faults never produce an error by themselves:
-/// the engine sheds what the faults make unservable and reports it in the
-/// metrics' drop counters.
-pub fn serve_with_faults(
-    accel: &Accelerator,
-    model: &Model,
-    workload: &[RequestSpec],
-    cfg: &EngineConfig,
-    faults: Option<FaultPlan>,
-) -> Result<ServeMetrics, ServeError> {
-    let mut sink = NoopSink;
-    serve_with_faults_traced(accel, model, workload, cfg, faults, &mut sink)
-}
-
-/// Runs the engine with a distributed plane attached: the cluster's
-/// pooled KV capacity, scaled-out compute, and per-tick collective time
-/// on the virtual clock. Returns the metrics plus the plane with its
-/// accumulated fabric totals. Called by [`crate::dist::serve_dist`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_dist_engine(
-    accel: &Accelerator,
-    model: &Model,
-    workload: &[RequestSpec],
-    cfg: &EngineConfig,
-    plane: DistPlane,
-    faults: Option<FaultPlan>,
-    scale: &[ScaleEvent],
-    sink: &mut dyn TraceSink,
-) -> Result<(ServeMetrics, DistPlane), ServeError> {
-    let (metrics, plane) = Engine::new(
-        accel,
-        model,
-        workload,
-        cfg,
-        faults,
-        Some(plane),
-        scale,
-        sink,
-    )?
-    .run()?;
-    match plane {
-        Some(p) => Ok((metrics, p)),
-        None => Err(ServeError::Internal(
-            "distributed plane lost during the run",
-        )),
-    }
-}
-
-struct Engine<'t> {
+pub(crate) struct Engine<'t> {
     cfg: EngineConfig,
     layout: KvLayout,
     pool: KvPool,
@@ -292,8 +228,6 @@ struct Engine<'t> {
     /// Time-weighted per-tenant block usage (block·ms), for the
     /// per-tenant occupancy accounting.
     tenant_block_ms: BTreeMap<u32, f64>,
-    /// Pending elastic resizes, `at_ms`-sorted.
-    scale_plan: VecDeque<ScaleEvent>,
     /// Pool blocks one chip's KV budget affords (elastic capacity unit).
     blocks_per_chip: usize,
     /// Cumulative output tokens, for window sampling.
@@ -396,15 +330,14 @@ fn victim_index(running: &[Request]) -> Option<usize> {
 }
 
 impl<'t> Engine<'t> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
+    /// An engine over `workload`; `dist` attaches a cluster plane (with
+    /// its elastic scale plan), `None` runs on one accelerator.
+    pub(crate) fn new(
         accel: &Accelerator,
         model: &Model,
         workload: &[RequestSpec],
         cfg: &EngineConfig,
-        faults: Option<FaultPlan>,
         dist: Option<DistPlane>,
-        scale: &[ScaleEvent],
         sink: &'t mut dyn TraceSink,
     ) -> Result<Self, ServeError> {
         if workload.is_empty() {
@@ -475,7 +408,9 @@ impl<'t> Engine<'t> {
             running: Vec::new(),
             finished: Vec::new(),
             dropped,
-            injector: faults.map(|plan| FaultInjector::new(plan, total_blocks)),
+            injector: cfg
+                .faults
+                .map(|plan| FaultInjector::new(plan, total_blocks)),
             dist,
             now_ms: 0.0,
             ticks: 0,
@@ -487,7 +422,6 @@ impl<'t> Engine<'t> {
             shed_deadline_total: 0,
             tenant_vt: BTreeMap::new(),
             tenant_block_ms: BTreeMap::new(),
-            scale_plan: scale.iter().copied().collect(),
             blocks_per_chip,
             decode_total: 0,
             good_tokens_total: 0,
@@ -508,7 +442,10 @@ impl<'t> Engine<'t> {
         })
     }
 
-    fn run(mut self) -> Result<(ServeMetrics, Option<DistPlane>), ServeError> {
+    /// Ticks the engine until every request is finished or dropped;
+    /// returns the metrics and the cluster plane (if one was attached)
+    /// with its accumulated fabric totals.
+    pub(crate) fn run(mut self) -> Result<(ServeMetrics, Option<DistPlane>), ServeError> {
         let total = self.incoming.len() + self.dropped.len();
         while self.finished.len() + self.dropped.len() < total {
             self.ticks += 1;
@@ -698,19 +635,13 @@ impl<'t> Engine<'t> {
     /// resident set fits), and rescale the modeled compute, bandwidth,
     /// and collective pricing.
     fn apply_scale_events(&mut self) {
-        while self
-            .scale_plan
-            .front()
-            .is_some_and(|ev| ev.at_ms <= self.now_ms)
-        {
-            let Some(ev) = self.scale_plan.pop_front() else {
-                break;
-            };
-            let Some(from) = self.dist.as_ref().map(DistPlane::chips) else {
-                // No distributed plane: elastic events have nothing to
-                // resize (single-chip entry points pass an empty plan).
-                continue;
-            };
+        // The plane is taken out for the duration so eviction can borrow
+        // the engine; single-chip runs have no plan to apply.
+        let Some(mut plane) = self.dist.take() else {
+            return;
+        };
+        while let Some(ev) = plane.next_scale_event(self.now_ms) {
+            let from = plane.chips();
             let to = ev.chips.max(1);
             if to == from {
                 continue;
@@ -719,11 +650,8 @@ impl<'t> Engine<'t> {
             // Price the re-striping before capacity changes: what is
             // resident *now* is what moves.
             let block_bytes = self.kv_bytes_per_token * self.cfg.block_tokens as f64;
-            let used = self.pool.used_blocks();
-            let (migrated_blocks, migrated_bytes, stall_s) = match self.dist.as_ref() {
-                Some(p) => p.migration_cost(used, block_bytes, to),
-                None => (0, 0.0, 0.0),
-            };
+            let (migrated_blocks, migrated_bytes, stall_s) =
+                plane.migration_cost(self.pool.used_blocks(), block_bytes, to);
             // Capacity follows the chip count.
             let new_total = self.blocks_per_chip * to;
             let mut preempted = 0u64;
@@ -748,9 +676,7 @@ impl<'t> Engine<'t> {
                     }
                 }
             }
-            if let Some(plane) = self.dist.as_mut() {
-                plane.rescale(to);
-            }
+            plane.rescale(to);
             self.peak_flops = self.base_peak_flops * to as f64;
             self.offchip_bytes_per_s = self.base_offchip_bytes_per_s * to as f64;
             let migration_ms = stall_s * 1e3;
@@ -769,19 +695,18 @@ impl<'t> Engine<'t> {
                     .arg("migrated_blocks", migrated_blocks),
                 );
             }
-            if let Some(plane) = self.dist.as_mut() {
-                plane.scale_log.push(ScaleEventRecord {
-                    at_ms: ev.at_ms,
-                    applied_ms,
-                    from_chips: from,
-                    to_chips: to,
-                    migrated_blocks,
-                    migrated_bytes,
-                    migration_ms,
-                    preempted,
-                });
-            }
+            plane.scale_log.push(ScaleEventRecord {
+                at_ms: ev.at_ms,
+                applied_ms,
+                from_chips: from,
+                to_chips: to,
+                migrated_blocks,
+                migrated_bytes,
+                migration_ms,
+                preempted,
+            });
         }
+        self.dist = Some(plane);
     }
 
     /// Emits this tick's trace events: the buffered per-request work
@@ -1359,6 +1284,7 @@ mod tests {
             softmax: SoftmaxKind::Exact,
             dedup: false,
             window_ms: None,
+            faults: None,
         }
     }
 

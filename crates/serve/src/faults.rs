@@ -8,8 +8,13 @@
 //! livelock, no silently lost work. The chaos test suite runs the full
 //! plan matrix over many seeds and asserts exactly that.
 //!
-//! All hooks are no-ops when [`serve`](crate::serve) is called without a
-//! plan, so fault-free runs stay byte-identical to the unhardened engine.
+//! A plan rides in [`EngineConfig::faults`](crate::EngineConfig::faults),
+//! so every run entry point ([`serve`](crate::serve),
+//! [`serve_traced`](crate::serve_traced), [`serve_dist`](crate::serve_dist))
+//! injects the same faults; spec corruption is applied to the workload
+//! up front with [`FaultPlan::corrupt_workload`]. With `faults: None`
+//! every hook is a no-op, so fault-free runs stay byte-identical to the
+//! unhardened engine.
 
 use crate::kv::KvPool;
 use crate::request::RequestSpec;

@@ -12,7 +12,7 @@
 //!   fatal, and no rate is ever `inf`.
 
 use flat_arch::Accelerator;
-use flat_serve::{serve_with_faults, EngineConfig, FaultPlan, ServeMetrics, WorkloadSpec};
+use flat_serve::{serve, EngineConfig, FaultPlan, ServeMetrics, WorkloadSpec};
 use flat_tensor::Bytes;
 use flat_workloads::{Model, Task};
 
@@ -33,7 +33,8 @@ fn run_chaos(name: &str, plan: FaultPlan, slo_ms: Option<f64>, kv_mib: u64) -> S
     let mut cfg = EngineConfig::for_platform(&accel, &model, plan.seed);
     cfg.kv_budget = Bytes::from_mib(kv_mib);
     cfg.max_batch = 6;
-    let m = serve_with_faults(&accel, &model, &wl, &cfg, Some(plan))
+    cfg.faults = Some(plan);
+    let m = serve(&accel, &model, &wl, &cfg)
         .unwrap_or_else(|e| panic!("{name}: engine must terminate cleanly, got {e}"));
     // Conservation: offered = finished + dropped, with drop reasons that
     // add up to the drop count.
@@ -172,8 +173,9 @@ fn chaos_faulted_runs_are_deterministic_in_seed() {
     plan.corrupt_workload(&mut wl);
     let mut cfg = EngineConfig::for_platform(&accel, &model, plan.seed);
     cfg.kv_budget = Bytes::from_mib(8);
-    let a = serve_with_faults(&accel, &model, &wl, &cfg, Some(plan)).unwrap();
-    let b = serve_with_faults(&accel, &model, &wl, &cfg, Some(plan)).unwrap();
+    cfg.faults = Some(plan);
+    let a = serve(&accel, &model, &wl, &cfg).unwrap();
+    let b = serve(&accel, &model, &wl, &cfg).unwrap();
     assert_eq!(
         a.to_json(),
         b.to_json(),
@@ -197,12 +199,18 @@ fn chaos_distributed_conserves_requests() {
             let mut cfg = EngineConfig::for_platform(&accel, &model, seed);
             cfg.kv_budget = Bytes::from_mib(8);
             cfg.max_batch = 6;
+            cfg.faults = Some(plan);
             let dist = flat_serve::DistServeConfig::new(chips, flat_dist::Topology::Ring);
-            let m =
-                flat_serve::serve_dist_with_faults(&accel, &model, &wl, &cfg, &dist, Some(plan))
-                    .unwrap_or_else(|e| {
-                        panic!("chips={chips} seed={seed}: must terminate, got {e}")
-                    });
+            let m = flat_serve::serve_dist(
+                &accel,
+                &model,
+                &wl,
+                &cfg,
+                &dist,
+                &flat_serve::ScalePlan::default(),
+                &mut flat_telemetry::NoopSink,
+            )
+            .unwrap_or_else(|e| panic!("chips={chips} seed={seed}: must terminate, got {e}"));
             let s = &m.serve;
             assert_eq!(s.requests, wl.len(), "chips={chips} seed={seed}: offered");
             assert_eq!(
@@ -243,34 +251,17 @@ fn chaos_distributed_elastic_conserves_requests() {
         cfg.kv_budget = Bytes::from_mib(8);
         cfg.max_batch = 6;
         cfg.window_ms = Some(5.0);
+        cfg.faults = Some(plan);
         let dist = flat_serve::DistServeConfig::new(2, flat_dist::Topology::Ring);
         let scale = flat_serve::ScalePlan::new(&[(2.0, 4), (20.0, 1)]);
         let mut sink = flat_telemetry::NoopSink;
-        let m = flat_serve::serve_dist_elastic(
-            &accel,
-            &model,
-            &wl,
-            &cfg,
-            &dist,
-            &scale,
-            Some(plan),
-            &mut sink,
-        )
-        .unwrap_or_else(|e| panic!("seed={seed}: must terminate, got {e}"));
+        let m = flat_serve::serve_dist(&accel, &model, &wl, &cfg, &dist, &scale, &mut sink)
+            .unwrap_or_else(|e| panic!("seed={seed}: must terminate, got {e}"));
         let s = &m.serve;
         assert_eq!(s.finished + s.dropped, s.requests, "seed={seed}");
         assert_eq!(s.drops.total(), s.dropped as u64, "seed={seed}");
-        let b = flat_serve::serve_dist_elastic(
-            &accel,
-            &model,
-            &wl,
-            &cfg,
-            &dist,
-            &scale,
-            Some(plan),
-            &mut sink,
-        )
-        .unwrap();
+        let b =
+            flat_serve::serve_dist(&accel, &model, &wl, &cfg, &dist, &scale, &mut sink).unwrap();
         assert_eq!(m.to_json(), b.to_json(), "seed={seed}: deterministic");
     }
 }
@@ -319,8 +310,16 @@ fn faults_disabled_matches_plain_serve() {
     let wl = workload(16, 9, None);
     let cfg = EngineConfig::for_platform(&accel, &model, 9);
     let plain = flat_serve::serve(&accel, &model, &wl, &cfg).unwrap();
-    let quiet = serve_with_faults(&accel, &model, &wl, &cfg, Some(FaultPlan::quiet(123))).unwrap();
-    let none = serve_with_faults(&accel, &model, &wl, &cfg, None).unwrap();
+    let quiet_cfg = EngineConfig {
+        faults: Some(FaultPlan::quiet(123)),
+        ..cfg
+    };
+    let quiet = serve(&accel, &model, &wl, &quiet_cfg).unwrap();
+    let none_cfg = EngineConfig {
+        faults: None,
+        ..cfg
+    };
+    let none = serve(&accel, &model, &wl, &none_cfg).unwrap();
     assert_eq!(plain.to_json(), none.to_json());
     assert_eq!(
         plain.to_json(),

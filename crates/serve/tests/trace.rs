@@ -15,8 +15,8 @@
 use flat_arch::Accelerator;
 use flat_dist::{Link, Topology};
 use flat_serve::{
-    serve, serve_dist, serve_dist_traced, serve_traced, serve_with_faults,
-    serve_with_faults_traced, DistServeConfig, EngineConfig, FaultPlan, WorkloadSpec,
+    serve, serve_dist, serve_traced, DistServeConfig, EngineConfig, FaultPlan, ScalePlan,
+    WorkloadSpec,
 };
 use flat_telemetry::{EventPhase, MemorySink, NoopSink};
 use flat_tensor::Bytes;
@@ -104,10 +104,12 @@ fn trace_is_byte_deterministic_for_fixed_seed() {
             if let Some(p) = &plan {
                 p.corrupt_workload(&mut wl);
             }
-            let cfg = config(&accel, &model, 42);
+            let cfg = EngineConfig {
+                faults: plan,
+                ..config(&accel, &model, 42)
+            };
             let mut sink = MemorySink::new();
-            serve_with_faults_traced(&accel, &model, &wl, &cfg, plan, &mut sink)
-                .expect("engine terminates");
+            serve_traced(&accel, &model, &wl, &cfg, &mut sink).expect("engine terminates");
             docs.push(sink.to_chrome_trace());
         }
         assert_eq!(
@@ -138,10 +140,13 @@ fn noop_sink_run_matches_untraced_metrics_byte_for_byte() {
     let plan = Some(FaultPlan::chaos(3));
     let mut wl = workload(24, 9);
     plan.as_ref().expect("plan set").corrupt_workload(&mut wl);
-    let plain = serve_with_faults(&accel, &model, &wl, &cfg, plan).expect("untraced");
+    let cfg = EngineConfig {
+        faults: plan,
+        ..cfg
+    };
+    let plain = serve(&accel, &model, &wl, &cfg).expect("untraced");
     let mut noop = NoopSink;
-    let traced =
-        serve_with_faults_traced(&accel, &model, &wl, &cfg, plan, &mut noop).expect("noop-traced");
+    let traced = serve_traced(&accel, &model, &wl, &cfg, &mut noop).expect("noop-traced");
     assert_eq!(plain.to_json(), traced.to_json());
 }
 
@@ -160,8 +165,16 @@ fn dist_trace_carries_collective_spans_per_chip() {
             ..DistServeConfig::new(chips, Topology::Ring)
         };
         let mut sink = MemorySink::new();
-        let traced = serve_dist_traced(&accel, &model, &wl, &cfg, &dcfg, &mut sink)
-            .expect("dist engine terminates");
+        let traced = serve_dist(
+            &accel,
+            &model,
+            &wl,
+            &cfg,
+            &dcfg,
+            &ScalePlan::default(),
+            &mut sink,
+        )
+        .expect("dist engine terminates");
         let coll: Vec<_> = sink
             .events
             .iter()
@@ -185,7 +198,16 @@ fn dist_trace_carries_collective_spans_per_chip() {
             );
         }
         // Tracing the dist run does not change its metrics either.
-        let plain = serve_dist(&accel, &model, &wl, &cfg, &dcfg).expect("untraced dist run");
+        let plain = serve_dist(
+            &accel,
+            &model,
+            &wl,
+            &cfg,
+            &dcfg,
+            &ScalePlan::default(),
+            &mut NoopSink,
+        )
+        .expect("untraced dist run");
         assert_eq!(plain.serve.to_json(), traced.serve.to_json());
     }
 }
