@@ -22,7 +22,7 @@
 //! * [`run_fleet`] / [`FleetConfig`] — drives the stream through the
 //!   distributed serving engine with windowed trajectory sampling,
 //!   optional prefix dedup, optional seeded chaos, and an elastic
-//!   [`ScalePlan`](flat_serve::ScalePlan) that resizes the cluster
+//!   [`ScalePlan`] that resizes the cluster
 //!   mid-run (KV re-striping priced over the `flat-dist` fabric);
 //! * [`FleetMetrics`] — the run report: the underlying
 //!   [`DistServeMetrics`] (per-tenant accounting, windowed

@@ -1,18 +1,29 @@
 //! Single-query decode-step attention over a growing KV set.
 //!
 //! Autoregressive serving attends one query row against the whole cached
-//! prefix at every generated token. Materializing the prefix logits and
-//! running the two-pass softmax would touch the row twice; folding each
-//! cached K/V row through [`OnlineSoftmax`](crate::OnlineSoftmax) instead
-//! makes a decode step a single `O(N·dk)` pass, the same rescaling trick
-//! `streaming_attention` uses along the key dimension. This is the kernel
-//! the `flat-serve` engine calls once per scheduled decode token, with the
-//! K/V rows streamed straight out of its paged cache blocks.
+//! prefix at every generated token. This is FLAT's row-granularity fusion
+//! at its smallest: a row of one query, folded into its output as each
+//! logit is produced, with no logit buffer and no second pass. The kernel
+//! feeds every cached K/V row to the prefill walk's per-row softmax
+//! [`Fold`] as a one-element chunk, so a decode step is a single
+//! `O(N·dk)` pass that runs the same online, FLASH-D and log-LUT folds the
+//! prefill kernels run. The logits of a group of rows are computed before
+//! the group is folded, so their dot products overlap; the fold itself is
+//! sequential. Off f32, the query and each streamed row are rounded
+//! through the storage grid into reusable scratch rows; f32 rows are read
+//! where they lie. This is the kernel the `flat-serve` engine calls once
+//! per scheduled decode token, with the K/V rows streamed straight out of
+//! its paged cache blocks.
 
+use crate::mat::dot;
 use crate::softmax_family::{FlashDSoftmax, LogLutSoftmax};
-use crate::{mat::dot, ComputePrecision, OnlineSoftmax};
+use crate::walk::Fold;
+use crate::{ComputePrecision, OnlineSoftmax};
 use flat_tensor::half::round_to;
 use flat_tensor::SoftmaxKind;
+
+/// Cached rows whose logits are computed before any of them is folded.
+const GROUP: usize = 16;
 
 /// Attention output of one decode step: the query row `q` against every
 /// cached `(key, value)` row the iterator yields, in order.
@@ -46,58 +57,16 @@ pub fn decode_attention<'a, I>(q: &[f32], kv: I, scale: f32) -> Vec<f32>
 where
     I: IntoIterator<Item = (&'a [f32], &'a [f32])>,
 {
-    let mut state = OnlineSoftmax::new();
-    let mut acc: Vec<f32> = Vec::new();
-    let mut seen = false;
-    for (k, v) in kv {
-        assert_eq!(k.len(), q.len(), "key row length must match the query");
-        if !seen {
-            acc = vec![0.0f32; v.len()];
-            seen = true;
-        }
-        let logit = dot(q, k) * scale;
-        let rescale = state.absorb(&[logit]);
-        if rescale != 1.0 {
-            for a in &mut acc {
-                *a *= rescale;
-            }
-        }
-        let w = state.weight(logit);
-        for (a, &vv) in acc.iter_mut().zip(v) {
-            *a = w.mul_add(vv, *a);
-        }
-    }
-    assert!(seen, "decode_attention needs at least one cached K/V row");
-    let inv = 1.0 / state.normalizer();
-    for a in &mut acc {
-        *a *= inv;
-    }
-    acc
-}
-
-/// Rounds one row through the storage grid of `precision`.
-fn snap_row(row: &[f32], precision: ComputePrecision) -> Vec<f32> {
-    match precision {
-        ComputePrecision::F32 => row.to_vec(),
-        ComputePrecision::Bf16 | ComputePrecision::F16 => row
-            .iter()
-            .map(|&x| round_to(precision.dtype(), x))
-            .collect(),
-        ComputePrecision::Int8 => {
-            let mut v = row.to_vec();
-            crate::quantized::snap_logits_int8(&mut v);
-            v
-        }
-    }
+    decode_fold::<OnlineSoftmax, I>(q, kv, scale, ComputePrecision::F32)
 }
 
 /// One decode step with an explicit precision and softmax kind — the
 /// kernel `flat-serve` calls when the engine is configured off the f32
 /// reference.
 ///
-/// `F32` + `Exact` delegates to [`decode_attention`] byte-identically.
-/// Other precisions snap the query and each streamed K/V row through the
-/// storage grid first. The FLASH-D and log-LUT kinds run the fold as
+/// `F32` + `Exact` is [`decode_attention`], bit for bit. Other precisions
+/// snap the query and each streamed K/V row through the storage grid
+/// first. The FLASH-D and log-LUT kinds run the fold as
 /// `acc ← acc·carry + w̃·v`: the accumulator is normalized after every
 /// cached row and the final divide disappears (the single-element FLASH-D
 /// form is exactly the incremental average `o ← o + μ(v − o)`).
@@ -117,60 +86,85 @@ pub fn decode_attention_with<'a, I>(
 where
     I: IntoIterator<Item = (&'a [f32], &'a [f32])>,
 {
-    if precision == ComputePrecision::F32 && kind == SoftmaxKind::Exact {
-        return decode_attention(q, kv, scale);
+    match kind {
+        SoftmaxKind::Exact => decode_fold::<OnlineSoftmax, I>(q, kv, scale, precision),
+        SoftmaxKind::FlashD => decode_fold::<FlashDSoftmax, I>(q, kv, scale, precision),
+        SoftmaxKind::LogLut => decode_fold::<LogLutSoftmax, I>(q, kv, scale, precision),
     }
-    let qs = snap_row(q, precision);
-    let mut online = OnlineSoftmax::new();
-    let mut flash = FlashDSoftmax::new();
-    let mut loglut = LogLutSoftmax::new();
-    let mut acc: Vec<f32> = Vec::new();
-    let mut seen = false;
-    for (k, v) in kv {
-        assert_eq!(k.len(), q.len(), "key row length must match the query");
-        let krow = snap_row(k, precision);
-        let vrow = snap_row(v, precision);
-        if !seen {
-            acc = vec![0.0f32; vrow.len()];
-            seen = true;
+}
+
+/// `row` rounded through the storage grid of `precision`, written into
+/// `scratch`; an f32 row is returned as it is.
+fn snap_row<'r>(
+    row: &'r [f32],
+    precision: ComputePrecision,
+    scratch: &'r mut Vec<f32>,
+) -> &'r [f32] {
+    match precision {
+        ComputePrecision::F32 => row,
+        ComputePrecision::Bf16 | ComputePrecision::F16 => {
+            scratch.clear();
+            scratch.extend(row.iter().map(|&x| round_to(precision.dtype(), x)));
+            scratch
         }
-        let logit = dot(&qs, &krow) * scale;
-        let w = match kind {
-            SoftmaxKind::Exact => {
-                let rescale = online.absorb(&[logit]);
-                if rescale != 1.0 {
-                    for a in &mut acc {
-                        *a *= rescale;
-                    }
+        ComputePrecision::Int8 => {
+            scratch.clear();
+            scratch.extend_from_slice(row);
+            crate::quantized::snap_logits_int8(scratch);
+            scratch
+        }
+    }
+}
+
+/// The decode step: each cached row's logit folded through `F` as a
+/// one-element chunk, its weight times the value row added into the
+/// output, and the output finished by the fold.
+fn decode_fold<'a, F: Fold, I>(
+    q: &[f32],
+    kv: I,
+    scale: f32,
+    precision: ComputePrecision,
+) -> Vec<f32>
+where
+    I: IntoIterator<Item = (&'a [f32], &'a [f32])>,
+{
+    let mut q_scratch = Vec::new();
+    let q = snap_row(q, precision, &mut q_scratch);
+    let (mut k_scratch, mut v_scratch) = (Vec::new(), Vec::new());
+    let mut fold = F::default();
+    let mut acc: Option<Vec<f32>> = None;
+    // Each grouped row's value row and logit.
+    let mut group: [(&[f32], f32); GROUP] = [(&[], 0.0); GROUP];
+    let mut kv = kv.into_iter();
+    loop {
+        let mut n = 0;
+        for (k, v) in kv.by_ref().take(GROUP) {
+            assert_eq!(k.len(), q.len(), "key row length must match the query");
+            group[n] = (v, dot(q, snap_row(k, precision, &mut k_scratch)) * scale);
+            n += 1;
+        }
+        if n == 0 {
+            break;
+        }
+        let acc = acc.get_or_insert_with(|| vec![0.0; group[0].0.len()]);
+        for &(v, logit) in &group[..n] {
+            let mut w = logit;
+            let carry = fold.fold(std::slice::from_mut(&mut w));
+            if carry != 1.0 {
+                for a in acc.iter_mut() {
+                    *a *= carry;
                 }
-                online.weight(logit)
             }
-            family => {
-                let mut chunk = [logit];
-                let carry = if family == SoftmaxKind::FlashD {
-                    flash.absorb(&mut chunk)
-                } else {
-                    loglut.absorb(&mut chunk)
-                };
-                if carry != 1.0 {
-                    for a in &mut acc {
-                        *a *= carry;
-                    }
-                }
-                chunk[0]
+            let v = snap_row(v, precision, &mut v_scratch);
+            for (a, &vv) in acc.iter_mut().zip(v) {
+                *a = w.mul_add(vv, *a);
             }
-        };
-        for (a, &vv) in acc.iter_mut().zip(&vrow) {
-            *a = w.mul_add(vv, *a);
         }
     }
-    assert!(seen, "decode_attention needs at least one cached K/V row");
-    if kind == SoftmaxKind::Exact {
-        let inv = 1.0 / online.normalizer();
-        for a in &mut acc {
-            *a *= inv;
-        }
-    }
+    let Some(mut acc) = acc else {
+        panic!("decode_attention needs at least one cached K/V row");
+    };
+    fold.finish(&mut acc);
     acc
 }
 
@@ -264,8 +258,9 @@ mod tests {
             for kind in [SoftmaxKind::Exact, SoftmaxKind::FlashD, SoftmaxKind::LogLut] {
                 let out =
                     decode_attention_with(q.row(0), [(k.row(0), v.row(0))], input.scale(), p, kind);
-                let snapped = snap_row(v.row(0), p);
-                for (o, &vv) in out.iter().zip(&snapped) {
+                let mut scratch = Vec::new();
+                let snapped = snap_row(v.row(0), p, &mut scratch);
+                for (o, &vv) in out.iter().zip(snapped) {
                     assert!((o - vv).abs() < 1e-5, "{p}/{kind}: {o} vs {vv}");
                 }
             }

@@ -24,10 +24,12 @@
 //! instrumented kernel runs the same walk with an [`ExecutionStats`]
 //! observer that counts every buffer touch.
 //!
-//! [`decode_attention`] is the autoregressive serving step and stands
-//! apart: one query row folded against a growing KV set in a single
-//! online-softmax pass (`O(N)` per generated token), consumed by the
-//! `flat-serve` runtime.
+//! [`decode_attention`] and [`decode_attention_with`] are the
+//! autoregressive serving step, consumed by the `flat-serve` runtime: one
+//! query row against a growing KV set, in a single pass (`O(N)` per
+//! generated token). They run no tiles, but the same softmax folds as the
+//! walk: each cached row's logit enters the fold as a one-element chunk,
+//! and its weight times the value row is added into the output.
 //!
 //! [`ComputePrecision`] selects the storage: f32, bf16/f16 packed storage
 //! widened to f32 for arithmetic, or int8 with integer GEMMs and an int8

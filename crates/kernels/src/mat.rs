@@ -502,6 +502,7 @@ pub(crate) fn wide_attend_acc(
 /// `aᵀb` over two equal-length contiguous slices: `LANES` independent
 /// `mul_add` chains (so the loop vectorizes) folded by a fixed tree
 /// reduction, plus a scalar tail for lengths not divisible by `LANES`.
+#[inline]
 pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let mut lanes = [0.0f32; LANES];

@@ -200,6 +200,7 @@ pub fn quantized_flat_attention(
 /// Snaps the *finite* logits of a row onto a symmetric 127-level int8
 /// grid, in place — the score-matrix half of the int8 path. Masked
 /// (`−∞`) entries pass through untouched.
+#[inline]
 pub(crate) fn snap_logits_int8(row: &mut [f32]) {
     let max = row
         .iter()

@@ -36,6 +36,7 @@ pub fn softmax_row(row: &mut [f32]) {
 /// Row maximum via 8 independent lanes so the reduction vectorizes.
 /// `f32::max` is exactly associative and commutative (no NaNs in logit
 /// rows), so this is bit-identical to the serial fold.
+#[inline]
 pub(crate) fn lane_max(row: &[f32]) -> f32 {
     let mut lanes = [f32::NEG_INFINITY; 8];
     for chunk in row.chunks_exact(8) {
@@ -55,6 +56,7 @@ pub(crate) fn lane_max(row: &[f32]) -> f32 {
 /// Row sum via 8 independent lanes so the reduction vectorizes. Unlike
 /// `max`, FP addition is not associative, so this is *not* bit-identical
 /// to a serial fold — callers tolerate the reordering.
+#[inline]
 pub(crate) fn lane_sum(row: &[f32]) -> f32 {
     let mut lanes = [0.0f32; 8];
     for chunk in row.chunks_exact(8) {
@@ -133,6 +135,34 @@ impl OnlineSoftmax {
         self.max = new_max;
         for &x in chunk {
             self.sum += (x - self.max).exp();
+        }
+        scale
+    }
+
+    /// [`absorb`](Self::absorb) that also replaces each logit with its
+    /// [`weight`](Self::weight), computing each `exp` once. Bit-identical
+    /// to `absorb` followed by `weight` on every element, including an
+    /// all-`−∞` chunk before any finite logit (whose weights are NaN).
+    #[inline]
+    pub(crate) fn absorb_weights(&mut self, chunk: &mut [f32]) -> f32 {
+        let chunk_max = chunk.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let new_max = self.max.max(chunk_max);
+        if new_max == f32::NEG_INFINITY {
+            for x in chunk.iter_mut() {
+                *x = self.weight(*x);
+            }
+            return 1.0;
+        }
+        let scale = if self.max == f32::NEG_INFINITY {
+            1.0
+        } else {
+            (self.max - new_max).exp()
+        };
+        self.sum *= scale;
+        self.max = new_max;
+        for x in chunk.iter_mut() {
+            *x = (*x - new_max).exp();
+            self.sum += *x;
         }
         scale
     }
@@ -217,6 +247,36 @@ mod tests {
             }
             for (w, r) in weights.iter().zip(&reference) {
                 assert!((w / st.normalizer() - r).abs() < 1e-5, "chunk {chunk_size}");
+            }
+        }
+    }
+
+    #[test]
+    fn absorb_weights_is_bit_identical_to_absorb_then_weight() {
+        let ninf = f32::NEG_INFINITY;
+        let chunks: [&[f32]; 7] = [
+            &[ninf, ninf],
+            &[0.5, -3.0, 2.25],
+            &[ninf, 1.0],
+            &[7.5],
+            &[-90.0, 120.0, ninf],
+            &[ninf],
+            &[],
+        ];
+        // Every chunk as the first one (fresh state, including the
+        // all-−∞ branch) and as one of a running sequence.
+        for start in 0..chunks.len() {
+            let (mut a, mut b) = (OnlineSoftmax::new(), OnlineSoftmax::new());
+            for chunk in &chunks[start..] {
+                let ra = a.absorb(chunk);
+                let wa: Vec<u32> = chunk.iter().map(|&x| a.weight(x).to_bits()).collect();
+                let mut wb = chunk.to_vec();
+                let rb = b.absorb_weights(&mut wb);
+                let wb: Vec<u32> = wb.iter().map(|w| w.to_bits()).collect();
+                assert_eq!(ra.to_bits(), rb.to_bits(), "rescale from {start}");
+                assert_eq!(wa, wb, "weights from {start}");
+                assert_eq!(a.max.to_bits(), b.max.to_bits());
+                assert_eq!(a.sum.to_bits(), b.sum.to_bits());
             }
         }
     }

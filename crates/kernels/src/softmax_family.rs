@@ -274,6 +274,7 @@ impl FlashDSoftmax {
     /// weight, and returns the rescale factor for previously produced
     /// output (0.0 before anything is absorbed, so a cold accumulator
     /// needs no special-casing).
+    #[inline]
     pub fn absorb(&mut self, chunk: &mut [f32]) -> f32 {
         let chunk_max = crate::softmax::lane_max(chunk);
         let new_max = self.max.max(chunk_max);
@@ -341,6 +342,7 @@ impl LogLutSoftmax {
 
     /// Absorbs a chunk of natural-domain logits, replacing each with its
     /// normalized weight; returns the rescale factor for earlier output.
+    #[inline]
     pub fn absorb(&mut self, chunk: &mut [f32]) -> f32 {
         // Into the log2 domain: one multiply per logit; from here on the
         // "arithmetic" is adds, compares, and table lookups.

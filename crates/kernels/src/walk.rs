@@ -44,7 +44,8 @@ pub(crate) trait Scores {
     fn attend(&mut self, p: &Mat, nrows: usize, out: &mut Mat, row_lo: usize);
 }
 
-/// A per-row softmax state, fed one chunk of the row at a time.
+/// A per-row softmax state, fed one chunk of the row at a time. The
+/// decode kernel feeds it chunks of one logit.
 pub(crate) trait Fold: Clone + Default {
     /// Whether the fold needs each row whole, in one chunk.
     const WHOLE_ROW: bool = false;
@@ -82,14 +83,12 @@ impl Fold for TwoPass {
 }
 
 impl Fold for OnlineSoftmax {
+    #[inline]
     fn fold(&mut self, chunk: &mut [f32]) -> f32 {
-        let rescale = self.absorb(chunk);
-        for x in chunk.iter_mut() {
-            *x = self.weight(*x);
-        }
-        rescale
+        self.absorb_weights(chunk)
     }
 
+    #[inline]
     fn finish(&self, out: &mut [f32]) {
         let inv = 1.0 / self.normalizer();
         for o in out {
@@ -99,12 +98,14 @@ impl Fold for OnlineSoftmax {
 }
 
 impl Fold for FlashDSoftmax {
+    #[inline]
     fn fold(&mut self, chunk: &mut [f32]) -> f32 {
         self.absorb(chunk)
     }
 }
 
 impl Fold for LogLutSoftmax {
+    #[inline]
     fn fold(&mut self, chunk: &mut [f32]) -> f32 {
         self.absorb(chunk)
     }

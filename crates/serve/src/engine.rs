@@ -14,7 +14,12 @@
 //!   through [`flat_kernels::decode_attention_with`] at a reduced width (one
 //!   representative head, `dk` lanes) — each step's output feeds the next
 //!   step's Q/K/V derivation, so generation is genuinely sequential and
-//!   any scheduling bug shows up in the numeric checksum;
+//!   any scheduling bug shows up in the numeric checksum. A step is one
+//!   pass over the request's cached rows, read in place out of the KV
+//!   pool's blocks, with each row's logit folded into the configured
+//!   softmax as it is produced. Pool blocks get storage only when
+//!   first written, so a pool sized to the modeled DRAM budget costs host
+//!   memory only for the blocks the run touches;
 //! * the **accounting plane** prices every tick against the full model on
 //!   the modeled accelerator — weight streaming, KV streaming at the
 //!   all-layer byte cost, and MAC throughput — producing the TTFT/TPOT

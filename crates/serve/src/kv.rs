@@ -152,16 +152,22 @@ impl BlockTable {
 }
 
 /// One physical cache block: `block_tokens` K rows and V rows at the
-/// execution width.
-#[derive(Debug, Clone)]
+/// execution width. Both are empty until the block is first written.
+#[derive(Debug, Clone, Default)]
 struct Block {
     k: Vec<f32>,
     v: Vec<f32>,
 }
 
-/// The physical pool: every block pre-allocated, recycled through a free
+/// The physical pool: a fixed set of block ids recycled through a free
 /// list. Blocks are handed to requests via their [`BlockTable`]s and
 /// returned wholesale on release or preemption.
+///
+/// A block gets its row storage the first time a row is written into it,
+/// and keeps it when it is recycled. A pool sized to a large memory
+/// budget therefore costs only the blocks its peak occupancy touches;
+/// blocks that are never handed out (or are confiscated before they are)
+/// never allocate.
 ///
 /// # Example
 ///
@@ -219,12 +225,7 @@ impl KvPool {
             total_blocks > 0 && block_tokens > 0 && dk > 0,
             "pool dimensions must be positive"
         );
-        let blocks = (0..total_blocks)
-            .map(|_| Block {
-                k: vec![0.0; block_tokens * dk],
-                v: vec![0.0; block_tokens * dk],
-            })
-            .collect();
+        let blocks = vec![Block::default(); total_blocks];
         // Pop order: lowest id first (purely cosmetic; any order works).
         let free = (0..total_blocks).rev().collect();
         KvPool {
@@ -304,6 +305,11 @@ impl KvPool {
             let Some(id) = self.free.pop() else {
                 return false;
             };
+            let block = &mut self.blocks[id];
+            if block.k.is_empty() {
+                block.k = vec![0.0; self.block_tokens * self.dk];
+                block.v = vec![0.0; self.block_tokens * self.dk];
+            }
             self.refs[id] = 1;
             table.blocks.push(id);
             self.peak_used = self.peak_used.max(self.used_blocks());
@@ -402,15 +408,13 @@ impl KvPool {
         false
     }
 
-    /// Adds `n` fresh zeroed blocks to the pool — the elastic scale-up
-    /// path. New ids extend the id space; existing tables are unaffected.
+    /// Adds `n` free blocks to the pool — the elastic scale-up path. Like
+    /// every block, they get storage when first written. New ids extend
+    /// the id space; existing tables are unaffected.
     pub fn grow(&mut self, n: usize) {
         for _ in 0..n {
             let id = self.blocks.len();
-            self.blocks.push(Block {
-                k: vec![0.0; self.block_tokens * self.dk],
-                v: vec![0.0; self.block_tokens * self.dk],
-            });
+            self.blocks.push(Block::default());
             self.refs.push(0);
             self.seal_hash.push(None);
             self.free.push(id);
@@ -448,15 +452,15 @@ impl KvPool {
         &'a self,
         table: &'a BlockTable,
     ) -> impl Iterator<Item = (&'a [f32], &'a [f32])> {
-        let (bt, dk) = (self.block_tokens, self.dk);
-        (0..table.tokens).map(move |t| {
-            let id = table.blocks[t / bt];
-            let at = (t % bt) * dk;
-            (
-                &self.blocks[id].k[at..at + dk],
-                &self.blocks[id].v[at..at + dk],
-            )
-        })
+        let dk = self.dk;
+        table
+            .blocks
+            .iter()
+            .flat_map(move |&id| {
+                let block = &self.blocks[id];
+                block.k.chunks_exact(dk).zip(block.v.chunks_exact(dk))
+            })
+            .take(table.tokens)
     }
 }
 
@@ -644,6 +648,68 @@ mod tests {
         append_prefix(&mut pool, &mut b, 2, 1);
         assert_eq!(pool.dedup_hits(), 0);
         assert_eq!(pool.rows(&b).count(), 2);
+    }
+
+    /// Blocks of `pool` that hold row storage.
+    fn stored(pool: &KvPool) -> usize {
+        pool.blocks.iter().filter(|b| !b.k.is_empty()).count()
+    }
+
+    #[test]
+    fn only_written_blocks_hold_storage() {
+        let mut pool = KvPool::new(1 << 18, 16, 8);
+        assert_eq!(stored(&pool), 0);
+        let mut t = BlockTable::new();
+        for i in 0..40 {
+            assert!(pool.try_append(&mut t, &[i as f32; 8], &[1.0; 8]));
+        }
+        assert_eq!(t.block_count(), 3);
+        assert_eq!(stored(&pool), 3);
+        assert_eq!(pool.total_blocks(), 1 << 18);
+        let keys: Vec<f32> = pool.rows(&t).map(|(k, _)| k[7]).collect();
+        assert_eq!(keys, (0..40).map(|i| i as f32).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn grown_blocks_have_no_storage_until_written() {
+        let mut pool = KvPool::new(1, 2, 1);
+        let mut a = BlockTable::new();
+        assert!(pool.try_append(&mut a, &[1.0], &[1.0]));
+        pool.grow(3);
+        assert_eq!(pool.total_blocks(), 4);
+        assert_eq!(stored(&pool), 1);
+        let mut b = BlockTable::new();
+        assert!(pool.try_append(&mut b, &[2.0], &[2.0]));
+        assert_eq!(stored(&pool), 2);
+    }
+
+    #[test]
+    fn recycled_blocks_keep_their_storage() {
+        let mut pool = KvPool::new(4, 2, 3);
+        let mut a = BlockTable::new();
+        assert!(pool.try_append(&mut a, &[1.0; 3], &[1.0; 3]));
+        let id = a.blocks[0];
+        let storage = pool.blocks[id].k.as_ptr();
+        pool.release(&mut a);
+        let mut b = BlockTable::new();
+        assert!(pool.try_append(&mut b, &[2.0; 3], &[2.0; 3]));
+        assert_eq!(b.blocks[0], id, "the free list hands the block back");
+        assert_eq!(pool.blocks[id].k.as_ptr(), storage);
+        assert_eq!(stored(&pool), 1);
+        assert_eq!(pool.rows(&b).next(), Some((&[2.0; 3][..], &[2.0; 3][..])));
+    }
+
+    #[test]
+    fn confiscated_blocks_never_allocate() {
+        let mut pool = KvPool::new(4, 2, 1);
+        assert_eq!(pool.confiscate(3), 3);
+        let mut a = BlockTable::new();
+        for _ in 0..2 {
+            assert!(pool.try_append(&mut a, &[1.0], &[1.0]));
+        }
+        // The pool is full: the confiscated blocks stay out of reach.
+        assert!(!pool.try_append(&mut a, &[1.0], &[1.0]));
+        assert_eq!(stored(&pool), 1);
     }
 
     #[test]

@@ -25,6 +25,7 @@ use crate::{Bytes, DataType};
 /// assert_eq!(f16_bits_to_f32(0x3C00), 1.0);
 /// assert_eq!(f32_to_f16_bits(65536.0), 0x7C00); // +inf: above f16 max
 /// ```
+#[inline]
 #[must_use]
 pub fn f32_to_f16_bits(x: f32) -> u16 {
     let bits = x.to_bits();
@@ -61,6 +62,7 @@ pub fn f32_to_f16_bits(x: f32) -> u16 {
 
 /// Widens IEEE 754 binary16 bits to `f32` (exact — every f16 value is
 /// representable in f32).
+#[inline]
 #[must_use]
 pub fn f16_bits_to_f32(h: u16) -> f32 {
     // Exponent/mantissa shift with two fix-ups (inf/NaN and subnormals).
@@ -83,6 +85,7 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
 ///
 /// bf16 is the f32 format truncated to an 8-bit mantissa, so the
 /// conversion is a rounded shift; exponent range is identical to f32.
+#[inline]
 #[must_use]
 pub fn f32_to_bf16_bits(x: f32) -> u16 {
     let bits = x.to_bits();
@@ -103,12 +106,14 @@ pub const fn bf16_bits_to_f32(b: u16) -> f32 {
 }
 
 /// Rounds an `f32` through f16 storage and back.
+#[inline]
 #[must_use]
 pub fn round_f16(x: f32) -> f32 {
     f16_bits_to_f32(f32_to_f16_bits(x))
 }
 
 /// Rounds an `f32` through bf16 storage and back.
+#[inline]
 #[must_use]
 pub fn round_bf16(x: f32) -> f32 {
     bf16_bits_to_f32(f32_to_bf16_bits(x))
@@ -122,6 +127,7 @@ pub fn round_bf16(x: f32) -> f32 {
 /// # Panics
 ///
 /// Panics for [`DataType::Int8`].
+#[inline]
 #[must_use]
 pub fn round_to(dtype: DataType, x: f32) -> f32 {
     match dtype {
