@@ -121,18 +121,9 @@ impl OnlineSoftmax {
     /// rescaled: `exp(old_max − new_max)`, 1.0 when the max is unchanged.
     #[must_use]
     pub fn absorb(&mut self, chunk: &[f32]) -> f32 {
-        let chunk_max = chunk.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let new_max = self.max.max(chunk_max);
-        if new_max == f32::NEG_INFINITY {
+        let Some(scale) = self.raise_max(chunk) else {
             return 1.0;
-        }
-        let scale = if self.max == f32::NEG_INFINITY {
-            1.0
-        } else {
-            (self.max - new_max).exp()
         };
-        self.sum *= scale;
-        self.max = new_max;
         for &x in chunk {
             self.sum += (x - self.max).exp();
         }
@@ -145,13 +136,28 @@ impl OnlineSoftmax {
     /// all-`−∞` chunk before any finite logit (whose weights are NaN).
     #[inline]
     pub(crate) fn absorb_weights(&mut self, chunk: &mut [f32]) -> f32 {
-        let chunk_max = chunk.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let new_max = self.max.max(chunk_max);
-        if new_max == f32::NEG_INFINITY {
+        let Some(scale) = self.raise_max(chunk) else {
             for x in chunk.iter_mut() {
                 *x = self.weight(*x);
             }
             return 1.0;
+        };
+        for x in chunk.iter_mut() {
+            *x = (*x - self.max).exp();
+            self.sum += *x;
+        }
+        scale
+    }
+
+    /// Raises the running max to cover `chunk` and rescales the sum to
+    /// it; returns the rescale factor, or `None` (changing nothing) while
+    /// every logit seen is `−∞`.
+    #[inline]
+    fn raise_max(&mut self, chunk: &[f32]) -> Option<f32> {
+        let chunk_max = chunk.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let new_max = self.max.max(chunk_max);
+        if new_max == f32::NEG_INFINITY {
+            return None;
         }
         let scale = if self.max == f32::NEG_INFINITY {
             1.0
@@ -160,11 +166,7 @@ impl OnlineSoftmax {
         };
         self.sum *= scale;
         self.max = new_max;
-        for x in chunk.iter_mut() {
-            *x = (*x - new_max).exp();
-            self.sum += *x;
-        }
-        scale
+        Some(scale)
     }
 
     /// Unnormalized weight of a logit under the current max.
